@@ -481,10 +481,6 @@ def _windows(xp, kshape, stride):
     return w
 
 
-def _conv_out_dim(n, k, stride, pad):
-    return (n + 2 * pad - k) // stride + 1
-
-
 def conv3d(x, kernel, stride=1, padding=0):
     """3-d cross-correlation.
 

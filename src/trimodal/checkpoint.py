@@ -16,6 +16,7 @@ Readers that ignore the reserved name still parse the file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
@@ -107,5 +108,12 @@ def load_checkpoint(path):
 
 
 def state_checksums(tensors):
-    """Stable per-tensor checksums (float64 sums) for freeze verification."""
-    return {name: float(np.asarray(a, dtype=np.float64).sum()) for name, a in sorted(tensors.items())}
+    """Per-tensor sha256 hex digests over name, shape, dtype and bytes, for
+    freeze verification: any change to a tensor's bytes changes its digest."""
+    out = {}
+    for name, a in sorted(tensors.items()):
+        a = np.ascontiguousarray(a)
+        h = hashlib.sha256(f"{name}|{a.shape}|{a.dtype.str}|".encode("utf-8"))
+        h.update(a.tobytes())
+        out[name] = h.hexdigest()
+    return out

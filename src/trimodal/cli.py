@@ -4,6 +4,10 @@ Subcommands: gen (cohort generation), train-mmg (stage 1), train-fusion
 (stage 2), cv (k-fold cross-validation with ablation modes), verify
 (self-check suite).  Exit codes: 0 success, 1 failed verification or
 runtime error, 2 invalid configuration, 3 I/O failure.
+
+``cv`` hands every requested mode to one driver, ``trainer.run_cv_modes``,
+which fits each fold's generator once and writes ``metrics_<mode>.json``
+per mode, carrying the hash of the config with that mode applied.
 """
 
 from __future__ import annotations
@@ -11,22 +15,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from .config import ConfigError, RunConfig, config_hash, dump_defaults, load_config
+from .trainer import MODES
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-ABLATION_MODES = {
-    "none": (False, False),
-    "mmg_only": (True, False),
-    "tcaf_only": (False, True),
-    "mmg_tcaf": (True, True),
-}
 
 
 def build_parser():
@@ -58,7 +55,7 @@ def build_parser():
 
     sp = sub.add_parser("cv", help="k-fold cross-validation")
     common(sp, needs_cohort=True)
-    sp.add_argument("--ablation", choices=[*ABLATION_MODES, "all"], default=None,
+    sp.add_argument("--ablation", choices=[*MODES, "all"], default=None,
                     help="fusion/imputation mode, or 'all' for the full grid")
     sp.add_argument("--parallel-folds", type=int, default=1, metavar="N",
                     help="fold processes to run concurrently (cv only)")
@@ -123,18 +120,11 @@ def cmd_train_mmg(args):
 
 
 def cmd_train_fusion(args):
-    from .checkpoint import load_checkpoint
-    from .mmg import MmgModel
-    from .trainer import train_fusion
+    from .trainer import load_mmg, train_fusion
 
     cfg = _load(args)
     subjects = _ensure_cohort(args, cfg)
-    mmg_model = None
-    if args.mmg_ckpt:
-        tensors, meta = load_checkpoint(args.mmg_ckpt)
-        mmg_model = MmgModel(np.random.default_rng(0), cfg.train.mmg,
-                             volume_shape=tuple(meta["volume_shape"]))
-        mmg_model.load_state_dict(tensors)
+    mmg_model = load_mmg(args.mmg_ckpt) if args.mmg_ckpt else None
     bundle = train_fusion(subjects, cfg.train, mmg_model, out_dir=cfg.out_dir,
                           config_hash=config_hash(cfg))
     print(f"stage 2 done: {len(bundle.history)} epochs, final total "
@@ -143,60 +133,22 @@ def cmd_train_fusion(args):
 
 
 def cmd_cv(args):
-    from dataclasses import replace
-
-    from .trainer import run_cv
+    from .trainer import run_cv_modes
 
     cfg = _load(args)
+    if args.parallel_folds < 1:
+        raise ConfigError(f"--parallel-folds must be >= 1, got {args.parallel_folds}")
+    modes = list(MODES) if args.ablation == "all" else [args.ablation or cfg.train.mode()]
+    mode_hashes = {m: config_hash(replace(cfg, train=cfg.train.with_mode(m))) for m in modes}
     subjects = _ensure_cohort(args, cfg)
-    modes = list(ABLATION_MODES) if args.ablation == "all" else [
-        args.ablation or cfg.train.mode()]
-    for mode in modes:
-        use_mmg, use_tcaf = ABLATION_MODES[mode]
-        cfg_mode = replace(cfg.train, use_mmg=use_mmg, use_tcaf=use_tcaf)
-        report = run_cv_parallel(subjects, cfg_mode, cfg, args.parallel_folds)
+    reports = run_cv_modes(subjects, cfg.train, mode_hashes, out_dir=cfg.out_dir,
+                           processes=args.parallel_folds)
+    for mode, report in reports.items():
         agg = report["aggregate"]
         print(f"[{mode}] AUC {agg['auc']['mean']:.3f}±{agg['auc']['std']:.3f}  "
               f"ACC {agg['acc']['mean']:.3f}±{agg['acc']['std']:.3f}  "
               f"({report['k_folds']} folds)")
     return EXIT_OK
-
-
-def run_cv_parallel(subjects, train_cfg, run_cfg, n_procs):
-    """run_cv, optionally with folds in separate processes.
-
-    Parallel results are bit-identical to the sequential ones because each
-    fold derives its seeds independently from the root seed.
-    """
-    from .trainer import run_cv
-
-    if n_procs <= 1:
-        return run_cv(subjects, train_cfg, out_dir=run_cfg.out_dir,
-                      config_hash=config_hash(run_cfg))
-    return _run_cv_processes(subjects, train_cfg, run_cfg, n_procs)
-
-
-def _run_cv_processes(subjects, train_cfg, run_cfg, n_procs):
-    import multiprocessing as mp
-
-    from .trainer import METRIC_KEYS, run_cv_single_fold, write_report
-
-    k = train_cfg.k_folds
-    with mp.get_context("spawn").Pool(min(n_procs, k)) as pool:
-        jobs = [(subjects, train_cfg, i, run_cfg.out_dir, config_hash(run_cfg))
-                for i in range(k)]
-        fold_rows = pool.starmap(run_cv_single_fold, jobs)
-    aggregate = {}
-    for key in METRIC_KEYS:
-        vals = np.array([row[key] for row in fold_rows], dtype=np.float64)
-        aggregate[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
-    report = {
-        "mode": train_cfg.mode(), "k_folds": k, "seed": int(train_cfg.seed),
-        "config_hash": config_hash(run_cfg), "folds": fold_rows, "aggregate": aggregate,
-    }
-    os.makedirs(run_cfg.out_dir, exist_ok=True)
-    write_report(report, os.path.join(run_cfg.out_dir, f"metrics_{train_cfg.mode()}.json"))
-    return report
 
 
 def cmd_verify(args):
@@ -221,10 +173,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as e:
+    except ValueError as e:  # ConfigError included
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:

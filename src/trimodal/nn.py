@@ -149,13 +149,3 @@ class LayerNorm(Module):
         var = xc.square().mean(axis=-1, keepdims=True)
         xhat = xc / (var + self.eps).sqrt()
         return xhat * self.gamma + self.beta
-
-
-class Sequential(Module):
-    def __init__(self, *layers):
-        self.layers = list(layers)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x

@@ -386,16 +386,6 @@ class Standardizer:
             raise RuntimeError("standardizer not fitted; call fit on the training split first")
         return ((np.asarray(X, dtype=np.float64) - self.mean) / self.std).astype(np.float32)
 
-    def state(self):
-        return {"mean": self.mean.copy(), "std": self.std.copy()}
-
-    @classmethod
-    def from_state(cls, state):
-        st = cls()
-        st.mean = np.asarray(state["mean"], dtype=np.float64)
-        st.std = np.asarray(state["std"], dtype=np.float64)
-        return st
-
 
 def clinical_matrix(subjects):
     """[n, 7] float matrix in the canonical clinical column order."""

@@ -4,8 +4,9 @@ Stage 1 fits the PET generator on PET-complete training subjects,
 alternating generator and discriminator steps.  Stage 2 freezes it,
 fills in missing PET volumes (generated, or zero-filled in ablation
 modes), and trains the modality encoders, fusion head, and classifier
-on the focal + alignment objective.  ``run_cv`` wraps both stages in a
-stratified k-fold loop with train-split-only standardization.
+on the focal + alignment objective.  ``run_cv_modes`` wraps both stages
+in a stratified k-fold loop with train-split-only standardization,
+running every requested ablation mode on each fold's one generator.
 
 Everything is seeded through ``numpy.random.SeedSequence`` spawns, so a
 (config, seed) pair fully determines every artifact byte.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autograd import Tensor, no_grad
-from .checkpoint import save_checkpoint, state_checksums
+from .checkpoint import load_checkpoint, save_checkpoint, state_checksums
 from .encoders import EncoderConfig, ModalityEncoders, pool_tokens
 from .fusion import ConcatHead, TcafHead
 from .losses import (LossConfig, focal_loss, inverse_class_weights, sdm_loss,
@@ -30,7 +31,7 @@ from .losses import (LossConfig, focal_loss, inverse_class_weights, sdm_loss,
 from .metrics import threshold_metrics
 from .mmg import MmgConfig, MmgModel, hybrid_loss, quantize, discriminator_loss
 from .nn import Module
-from .synthdata import Standardizer, clinical_matrix
+from .synthdata import Standardizer, clinical_matrix, split_kfold
 
 
 class Instrument:
@@ -88,6 +89,15 @@ class Adam:
             p.data -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
 
 
+# Ablation modes of the paper's grid -> (use_mmg, use_tcaf).
+MODES = {
+    "none": (False, False),
+    "mmg_only": (True, False),
+    "tcaf_only": (False, True),
+    "mmg_tcaf": (True, True),
+}
+
+
 @dataclass
 class TrainConfig:
     epochs_stage1: int = 30
@@ -121,9 +131,13 @@ class TrainConfig:
         return self
 
     def mode(self):
-        return {(False, False): "none", (True, False): "mmg_only",
-                (False, True): "tcaf_only", (True, True): "mmg_tcaf"}[
-                    (bool(self.use_mmg), bool(self.use_tcaf))]
+        switches = (bool(self.use_mmg), bool(self.use_tcaf))
+        return next(m for m, sw in MODES.items() if sw == switches)
+
+    def with_mode(self, mode):
+        """This config with the named ablation mode's switches applied."""
+        use_mmg, use_tcaf = MODES[mode]
+        return replace(self, use_mmg=use_mmg, use_tcaf=use_tcaf)
 
 
 def _rng(seed_seq):
@@ -238,6 +252,20 @@ def train_mmg(subjects, cfg: TrainConfig, *, seed_seq=None, out_dir=None,
     return model, history
 
 
+def load_mmg(path):
+    """Rebuild a stage-1 generator from its checkpoint.  The architecture
+    comes from the checkpoint's meta, not from the caller's config."""
+    tensors, meta = load_checkpoint(path)
+    weights = meta["loss_weights"]
+    mmg_cfg = MmgConfig(
+        codebook_size=meta["codebook_size"], d_code=meta["d_code"], beta=meta["beta"],
+        lambda_l1=weights["l1"], lambda_qua=weights["qua"],
+        lambda_per=weights["per"], lambda_adv=weights["adv"])
+    model = MmgModel(np.random.default_rng(0), mmg_cfg, volume_shape=tuple(meta["volume_shape"]))
+    model.load_state_dict(tensors)
+    return model
+
+
 # -- stage 2 -------------------------------------------------------------------
 
 
@@ -308,7 +336,9 @@ def train_fusion(subjects, cfg: TrainConfig, mmg_model=None, *, seed_seq=None,
     """Train encoders + fusion + classifier; returns a FusionBundle.
 
     ``mmg_model`` (frozen) fills missing PET volumes; without it they are
-    zero-filled.  History rows: (epoch, total, focal, sdm_mt, sdm_pt, sdm_mp).
+    zero-filled.  Its weight checksums are taken before and after training,
+    and a mismatch raises ``RuntimeError``.  History rows: (epoch, total,
+    focal, sdm_mt, sdm_pt, sdm_mp).
     """
     cfg.validate()
     if seed_seq is None:
@@ -318,10 +348,9 @@ def train_fusion(subjects, cfg: TrainConfig, mmg_model=None, *, seed_seq=None,
     ids = [s.subject_id for s in subjects]
     labels = np.array([s.label for s in subjects], dtype=np.int64)
     standardizer = Standardizer().fit(clinical_matrix(subjects))
+    frozen = None if mmg_model is None else state_checksums(mmg_model.state_dict())
     if instrument is not None:
         instrument.record("standardizer_ids", list(ids))
-        if mmg_model is not None:
-            instrument.record("mmg_checksums_before", state_checksums(mmg_model.state_dict()))
 
     x_mri = np.stack([s.mri for s in subjects])[:, None]
     x_pet = assemble_pet(subjects, mmg_model, instrument=instrument)
@@ -386,8 +415,13 @@ def train_fusion(subjects, cfg: TrainConfig, mmg_model=None, *, seed_seq=None,
         model.load_state_dict(
             {k: (v / tail_count).astype(np.float32) for k, v in tail_sums.items()})
 
-    if instrument is not None and mmg_model is not None:
-        instrument.record("mmg_checksums_after", state_checksums(mmg_model.state_dict()))
+    if mmg_model is not None:
+        after = state_checksums(mmg_model.state_dict())
+        if instrument is not None:
+            instrument.record("mmg_checksums_before", frozen)
+            instrument.record("mmg_checksums_after", after)
+        if after != frozen:
+            raise RuntimeError("stage 2 modified the frozen generator's weights")
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -431,76 +465,101 @@ def evaluate_fusion(bundle: FusionBundle, subjects, mmg_model=None):
 METRIC_KEYS = ("acc", "sen", "spe", "auc", "f1")
 
 
-def run_cv_single_fold(subjects, cfg: TrainConfig, fold_index, out_dir=None,
-                       config_hash="", instrument=None):
-    """Train and evaluate one fold; the unit of --parallel-folds work.
+def _fold_seed(cfg, fold_index, stage):
+    """SeedSequence(seed).spawn(k)[fold].spawn(2)[stage], built fresh:
+    spawning advances a SeedSequence, and each stage-2 fit needs the
+    same stream."""
+    return np.random.SeedSequence(cfg.seed, spawn_key=(fold_index, stage))
 
+
+def run_cv_fold(subjects, cfg: TrainConfig, mode_hashes, fold_index, out_dir=None,
+                instrument=None):
+    """Train and evaluate one fold in every mode of ``mode_hashes`` (mode ->
+    config hash); returns {mode: fold row}.  The unit of --parallel-folds work.
+
+    Stage 1 reads neither ablation switch, so the fold's generator is fitted
+    once, under the first imputing mode's hash, and shared by the others.
     Fold membership and per-fold seeds derive only from (cfg, fold_index),
     so any execution order or process layout yields identical rows.
     """
-    from .synthdata import split_kfold
-
     cfg.validate()
     ids = [s.subject_id for s in subjects]
     by_id = {s.subject_id: s for s in subjects}
     labels = [s.label for s in subjects]
-    folds = split_kfold(ids, cfg.k_folds, cfg.seed, labels=labels)
-    test_ids = folds[fold_index]
-    fold_seed = np.random.SeedSequence(cfg.seed).spawn(cfg.k_folds)[fold_index]
-
+    test_ids = split_kfold(ids, cfg.k_folds, cfg.seed, labels=labels)[fold_index]
     test_set = set(test_ids)
     train_subjects = [s for s in subjects if s.subject_id not in test_set]
     test_subjects = [by_id[t] for t in test_ids]
-    ss_mmg, ss_fusion = fold_seed.spawn(2)
     fold_dir = None if out_dir is None else os.path.join(out_dir, f"fold_{fold_index}")
 
     mmg_model = None
-    pre = None
-    if cfg.use_mmg:
-        mmg_model, _ = train_mmg(
-            train_subjects, cfg, seed_seq=ss_mmg, out_dir=fold_dir,
-            instrument=instrument, config_hash=config_hash)
-        pre = state_checksums(mmg_model.state_dict())
-    bundle = train_fusion(
-        train_subjects, cfg, mmg_model, seed_seq=ss_fusion, out_dir=fold_dir,
-        instrument=instrument, config_hash=config_hash)
-    if cfg.use_mmg:
-        post = state_checksums(mmg_model.state_dict())
-        if pre != post:
-            raise RuntimeError(f"fold {fold_index}: stage 2 modified frozen generator weights")
-    m = evaluate_fusion(bundle, test_subjects, mmg_model)
-    return {"fold": fold_index, "test_size": len(test_subjects),
-            **{k: m[k] for k in METRIC_KEYS},
-            "counts": {k: m[k] for k in ("tp", "tn", "fp", "fn")}}
+    rows = {}
+    for mode, chash in mode_hashes.items():
+        mode_cfg = cfg.with_mode(mode)
+        if mode_cfg.use_mmg and mmg_model is None:
+            mmg_model, _ = train_mmg(
+                train_subjects, mode_cfg, seed_seq=_fold_seed(cfg, fold_index, 0),
+                out_dir=fold_dir, instrument=instrument, config_hash=chash)
+        generator = mmg_model if mode_cfg.use_mmg else None
+        bundle = train_fusion(
+            train_subjects, mode_cfg, generator, seed_seq=_fold_seed(cfg, fold_index, 1),
+            out_dir=None if fold_dir is None else os.path.join(fold_dir, mode),
+            instrument=instrument, config_hash=chash)
+        m = evaluate_fusion(bundle, test_subjects, generator)
+        rows[mode] = {"fold": fold_index, "test_size": len(test_subjects),
+                      **{k: m[k] for k in METRIC_KEYS},
+                      "counts": {k: m[k] for k in ("tp", "tn", "fp", "fn")}}
+    return rows
+
+
+def run_cv_modes(subjects, cfg: TrainConfig, mode_hashes, *, out_dir=None,
+                 instrument=None, processes=1):
+    """Stratified k-fold CV of the two-stage pipeline in every mode of
+    ``mode_hashes`` (mode -> config hash); returns {mode: report dict}.
+
+    Per fold: fit the standardizer and both stages on the train split only,
+    then evaluate on the held-out fold.  With ``processes`` > 1 the folds
+    run in a spawn pool, with bit-identical results.  The aggregate block
+    holds the arithmetic mean and population std of each metric across
+    folds.  ``out_dir`` receives ``metrics_<mode>.json`` per mode and, per
+    fold, ``fold_<i>/`` with the generator and ``fold_<i>/<mode>/`` with
+    each mode's stage-2 files.
+    """
+    cfg.validate()
+    if processes > 1 and instrument is not None:
+        raise ValueError("an Instrument records only in-process folds; use processes=1")
+    jobs = [(subjects, cfg, mode_hashes, i, out_dir, instrument) for i in range(cfg.k_folds)]
+    if processes > 1:
+        import multiprocessing as mp
+
+        with mp.get_context("spawn").Pool(min(processes, cfg.k_folds)) as pool:
+            fold_rows = pool.starmap(run_cv_fold, jobs)
+    else:
+        fold_rows = [run_cv_fold(*job) for job in jobs]
+
+    reports = {}
+    for mode, chash in mode_hashes.items():
+        rows = [per_mode[mode] for per_mode in fold_rows]
+        aggregate = {}
+        for key in METRIC_KEYS:
+            vals = np.array([row[key] for row in rows], dtype=np.float64)
+            aggregate[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
+        reports[mode] = {
+            "mode": mode, "k_folds": cfg.k_folds, "seed": int(cfg.seed),
+            "config_hash": chash, "folds": rows, "aggregate": aggregate,
+        }
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            write_report(reports[mode], os.path.join(out_dir, f"metrics_{mode}.json"))
+    return reports
 
 
 def run_cv(subjects, cfg: TrainConfig, *, out_dir=None, instrument=None,
            config_hash=""):
-    """Stratified k-fold CV of the two-stage pipeline; returns the report dict.
-
-    Per fold: fit the standardizer and both stages on the train split only,
-    then evaluate on the held-out fold.  The aggregate block holds the
-    arithmetic mean and population std of each metric across folds.
-    """
-    cfg.validate()
-    fold_rows = [
-        run_cv_single_fold(subjects, cfg, i, out_dir=out_dir,
-                           config_hash=config_hash, instrument=instrument)
-        for i in range(cfg.k_folds)
-    ]
-
-    aggregate = {}
-    for key in METRIC_KEYS:
-        vals = np.array([row[key] for row in fold_rows], dtype=np.float64)
-        aggregate[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
-    report = {
-        "mode": cfg.mode(), "k_folds": cfg.k_folds, "seed": int(cfg.seed),
-        "config_hash": config_hash, "folds": fold_rows, "aggregate": aggregate,
-    }
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_report(report, os.path.join(out_dir, f"metrics_{cfg.mode()}.json"))
-    return report
+    """``run_cv_modes`` in the single mode ``cfg`` selects; returns its report."""
+    mode = cfg.mode()
+    return run_cv_modes(subjects, cfg, {mode: config_hash}, out_dir=out_dir,
+                        instrument=instrument)[mode]
 
 
 def write_report(report, path):

@@ -95,4 +95,14 @@ def test_state_checksums_detect_single_element_change(sample_state):
     after = state_checksums(mutated)
     assert after != before
     assert after["enc.bias"] == before["enc.bias"]
-    assert after["enc.weight"] == pytest.approx(before["enc.weight"] + 1.0)
+    assert after["enc.weight"] != before["enc.weight"]
+
+
+def test_state_checksums_detect_permutation(sample_state):
+    # a permutation keeps every order-free statistic (sum, norm) unchanged
+    before = state_checksums(sample_state)
+    permuted = dict(sample_state, deep=sample_state["deep"][::-1].copy())
+    after = state_checksums(permuted)
+    assert after["deep"] != before["deep"]
+    assert {k: v for k, v in after.items() if k != "deep"} == {
+        k: v for k, v in before.items() if k != "deep"}

@@ -1,14 +1,19 @@
 """Command-line contract tests: exit codes, artifact layout, ablation
 grid output, and bit-identical reruns (sequential and parallel)."""
 
+import dataclasses
+import json
 import subprocess
 import sys
 
 import pytest
 import yaml
 
+from trimodal import trainer
+from trimodal.checkpoint import load_checkpoint
 from trimodal.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from trimodal.config import from_dict
+from trimodal.config import config_hash, from_dict, load_config
+from trimodal.trainer import MODES
 
 
 FAST_YAML = """\
@@ -128,12 +133,47 @@ def test_stage_commands_chain_through_checkpoint(fast_config, tmp_path, capsys):
     assert "stage 2 done" in capsys.readouterr().out
 
 
-def test_cv_ablation_grid_writes_four_reports(fast_config, tmp_path, capsys):
+def test_train_fusion_builds_generator_from_checkpoint_meta(fast_config, tmp_path, capsys):
+    # the generator's architecture comes from its checkpoint, not from the
+    # stage-2 run's config
+    small = tmp_path / "small.yaml"
+    small.write_text(FAST_YAML + "mmg:\n  codebook_size: 16\n")
+    out = tmp_path / "run"
+    assert main(["train-mmg", "--config", str(small), "--out", str(out)]) == EXIT_OK
+    assert main([
+        "train-fusion", "--config", fast_config, "--out", str(out / "s2"),
+        "--cohort", str(out / "cohort"),
+        "--mmg-ckpt", str(out / "mmg.itck"),
+    ]) == EXIT_OK
+    assert "stage 2 done" in capsys.readouterr().out
+
+
+def test_cv_ablation_grid_writes_four_reports(fast_config, tmp_path, capsys,
+                                              monkeypatch):
+    stage1_calls = []
+    real_train_mmg = trainer.train_mmg
+
+    def counting_train_mmg(*args, **kwargs):
+        stage1_calls.append(1)
+        return real_train_mmg(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train_mmg", counting_train_mmg)
     out = tmp_path / "grid"
     assert main(["cv", "--config", fast_config, "--out", str(out),
                  "--ablation", "all"]) == EXIT_OK
-    for mode in ("none", "mmg_only", "tcaf_only", "mmg_tcaf"):
-        assert (out / f"metrics_{mode}.json").exists(), mode
+    cfg = load_config(fast_config)
+    # one generator per fold, shared by both imputing modes
+    assert len(stage1_calls) == cfg.train.k_folds
+    hashes = set()
+    for mode, (use_mmg, use_tcaf) in MODES.items():
+        report = json.loads((out / f"metrics_{mode}.json").read_text())
+        mode_cfg = dataclasses.replace(cfg, train=cfg.train.with_mode(mode))
+        assert report["config_hash"] == config_hash(mode_cfg), mode
+        hashes.add(report["config_hash"])
+        _, meta = load_checkpoint(str(out / "fold_0" / mode / "fusion.itck"))
+        assert (meta["use_mmg"], meta["use_tcaf"]) == (use_mmg, use_tcaf), mode
+        assert meta["config_hash"] == report["config_hash"], mode
+    assert len(hashes) == 4
     stdout = capsys.readouterr().out
     assert stdout.count("AUC") == 4
 
@@ -147,15 +187,29 @@ def test_cv_rerun_is_byte_identical_across_directories(fast_config, tmp_path):
     assert b1 == b2
 
 
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_cv_parallel_folds_match_sequential(fast_config, tmp_path):
     seq, par = tmp_path / "seq", tmp_path / "par"
-    main(["cv", "--config", fast_config, "--out", str(seq),
-          "--ablation", "mmg_tcaf"])
-    main(["cv", "--config", fast_config, "--out", str(par),
-          "--ablation", "mmg_tcaf", "--parallel-folds", "2"])
-    b_seq = (seq / "metrics_mmg_tcaf.json").read_bytes()
-    b_par = (par / "metrics_mmg_tcaf.json").read_bytes()
-    assert b_seq == b_par
+    assert main(["cv", "--config", fast_config, "--out", str(seq),
+                 "--ablation", "all"]) == EXIT_OK
+    assert main(["cv", "--config", fast_config, "--out", str(par),
+                 "--ablation", "all", "--parallel-folds", "2"]) == EXIT_OK
+    files_seq, files_par = _tree_bytes(seq), _tree_bytes(par)
+    assert "fold_1/mmg_tcaf/fusion.itck" in files_seq
+    assert files_seq.keys() == files_par.keys()
+    for name, data in files_seq.items():
+        assert files_par[name] == data, name
+
+
+def test_cv_parallel_folds_below_one_exits_2(fast_config, tmp_path, capsys):
+    code = main(["cv", "--config", fast_config, "--out", str(tmp_path / "o"),
+                 "--parallel-folds", "-3"])
+    assert code == EXIT_CONFIG
+    assert "--parallel-folds" in capsys.readouterr().err
 
 
 def test_console_script_is_installed():

@@ -14,6 +14,7 @@ from trimodal.synthdata import split_kfold
 from trimodal.trainer import (
     Adam,
     Instrument,
+    MODES,
     OptimizerNaNError,
     TrainConfig,
     _batches,
@@ -21,7 +22,7 @@ from trimodal.trainer import (
     assemble_pet,
     evaluate_fusion,
     run_cv,
-    run_cv_single_fold,
+    run_cv_fold,
     train_fusion,
     train_mmg,
 )
@@ -204,6 +205,19 @@ def test_train_fusion_never_touches_generator(small_subjects, rng):
     assert inst.events["mmg_checksums_before"] == inst.events["mmg_checksums_after"]
 
 
+def test_train_fusion_refuses_a_modified_generator(small_subjects, rng, monkeypatch):
+    model = _toy_generator(rng)
+    real_assemble = assemble_pet
+
+    def tampering_assemble(subjects, mmg_model=None, instrument=None):
+        mmg_model.codebook.codes.data[0, 0] += 1.0
+        return real_assemble(subjects, mmg_model, instrument=instrument)
+
+    monkeypatch.setattr("trimodal.trainer.assemble_pet", tampering_assemble)
+    with pytest.raises(RuntimeError, match="frozen generator"):
+        train_fusion(small_subjects, fast_train_config(), model)
+
+
 def test_train_fusion_sdm_off_leaves_trajectory_unchanged(
         small_subjects, monkeypatch):
     # with the triple term weighted zero the SDM values are reported but
@@ -243,11 +257,12 @@ def test_evaluate_fusion_metric_row(small_subjects):
 def test_single_fold_train_events_exclude_test_ids(small_subjects):
     cfg = fast_train_config()
     inst = Instrument()
-    row = run_cv_single_fold(small_subjects, cfg, 0, instrument=inst)
+    rows = run_cv_fold(small_subjects, cfg, {m: "" for m in MODES}, 0, instrument=inst)
     ids = [s.subject_id for s in small_subjects]
     labels = [s.label for s in small_subjects]
     test_ids = set(split_kfold(ids, cfg.k_folds, cfg.seed, labels=labels)[0])
-    assert row["test_size"] == len(test_ids)
+    assert list(rows) == list(MODES)
+    assert all(row["test_size"] == len(test_ids) for row in rows.values())
     for key in ("standardizer_ids", "mmg_batch", "fusion_batch", "imputed_ids"):
         seen = set(inst.all_ids(key))
         assert seen.isdisjoint(test_ids), f"{key} saw held-out subjects"
@@ -270,7 +285,8 @@ def test_run_cv_report_structure_and_artifacts(small_subjects, tmp_path):
     assert on_disk == json.loads(json.dumps(report))  # same after round-trip
     for fold in (0, 1):
         d = tmp_path / f"fold_{fold}"
-        for name in ("stage1_loss.csv", "stage2_loss.csv", "mmg.itck", "fusion.itck"):
+        for name in ("stage1_loss.csv", "mmg.itck",
+                     "mmg_tcaf/stage2_loss.csv", "mmg_tcaf/fusion.itck"):
             assert (d / name).exists(), f"missing {name} in fold_{fold}"
 
 
