@@ -7,19 +7,22 @@ in reverse creation order, which is a valid topological order because an
 op's inputs always exist before its output.
 
 The primitive set is closed on purpose: dense maps, 3-d convolution
-(plain and transposed), pooling, pointwise nonlinearities, softmax,
-reductions and shape plumbing: exactly what the fusion pipeline needs.
-All accumulation happens in numpy's fixed-order reductions, so repeated
-runs on the same inputs are bit-identical in single-threaded mode.
+(plain and transposed), global average pooling, pointwise nonlinearities,
+softmax, reductions and shape plumbing: exactly what the fusion pipeline
+needs.  Both convolutions and their gradients run on one phase-grid
+kernel of shifted GEMMs (see the conv section).  All accumulation happens
+in numpy's fixed-order reductions, so repeated runs on the same inputs
+are bit-identical; the conv kernel also gives the same bits at one or two
+BLAS threads.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 _ids = itertools.count()
 _grad_enabled = True
@@ -465,20 +468,144 @@ def gather_rows(table, indices):
 
 
 # -- 3-d convolution ----------------------------------------------------------
+#
+# Both conv ops run on a phase ("space-to-depth") grid.  Pad the input by p
+# and write every padded position as s*m + r per axis: the s**3 phases r
+# join the channel axis and m indexes a coarse grid of side M.  A kernel
+# zero-padded to s*Q taps per axis (Q = ceil(k/s)) is then a stride-1
+# kernel of Q taps per axis on the coarse grid.  The grid is flattened into
+# columns, one block of M**3 per sample, with a zero tail, so each of the
+# Q**3 kernel shifts is one column slice at a fixed offset; M >= out + Q - 1
+# keeps every valid output's taps inside its own sample's block.  Three
+# primitives of Q**3 GEMMs each then cover both ops and all their gradients:
+#
+#   _corr     conv3d forward            conv_transpose3d input gradient
+#   _adjoint  conv3d input gradient     conv_transpose3d forward
+#   _wgrad    the kernel gradient of both
 
 
-def _pad5(x, p):
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
+class _PhaseGrid:
+    """Phase-grid geometry of a conv with input ``n``, kernel ``k`` (spatial
+    triples), stride ``s`` and padding ``p``; independent of batch and
+    channels."""
+
+    def __init__(self, n, k, s, p):
+        self.s = s
+        self.q = tuple(-(-kk // s) for kk in k)
+        self.out = tuple((nn + 2 * p - kk) // s + 1 for nn, kk in zip(n, k))
+        self.m = tuple(max(-(-(nn + 2 * p) // s), o + q - 1) for nn, o, q in zip(n, self.out, self.q))
+        _, mh, mw = self.m
+        self.offs = tuple(a * mh * mw + b * mw + c for a, b, c in itertools.product(*map(range, self.q)))
+        self.lead = self.offs[-1]  # the largest shift: zero columns beside each grid
+        self.fine = _phase_slices(n, s, p)         # conv input  <-> grid, s**3 phases
+        self.coarse = _phase_slices(self.out, 1, 0)  # conv output <-> grid, one phase
+
+    def cols(self, batch):
+        """Grid columns for ``batch`` samples, rounded up to a multiple of 64
+        with zeros: OpenBLAS's GEMM bits then do not depend on the thread
+        count (tested at 1 and 2 threads)."""
+        return -(-batch * self.m[0] * self.m[1] * self.m[2] // 64) * 64
+
+    def to_fine(self, a, cols):
+        """[N, C, *n] -> [C*s**3, cols + lead], sample blocks from column 0."""
+        return _to_grid(a, self.s, self.m, self.fine, cols + self.lead, 0)
+
+    def to_coarse(self, a, cols):
+        """[N, F, *out] -> [F, lead + cols], sample blocks from column lead."""
+        return _to_grid(a, 1, self.m, self.coarse, cols + self.lead, self.lead)
+
+    def from_fine(self, grid, shape):
+        return _from_grid(grid, self.s, self.m, self.fine, shape)
+
+    def from_coarse(self, grid, shape):
+        return _from_grid(grid, 1, self.m, self.coarse, shape)
+
+    def kernel(self, k):
+        """[F, C, *k] -> [Q**3, F, C*s**3], zero taps beyond k."""
+        s, (qd, qh, qw) = self.s, self.q
+        F, C, kd, kh, kw = k.shape
+        kz = np.zeros((F, C, s * qd, s * qh, s * qw), k.dtype)
+        kz[:, :, :kd, :kh, :kw] = k
+        kz = kz.reshape(F, C, qd, s, qh, s, qw, s).transpose(2, 4, 6, 0, 1, 3, 5, 7)
+        return kz.reshape(qd * qh * qw, F, C * s ** 3)
+
+    def unkernel(self, kq, shape):
+        """Inverse of ``kernel``: [Q**3, F, C*s**3] -> [F, C, *k]."""
+        s, (qd, qh, qw) = self.s, self.q
+        F, C, kd, kh, kw = shape
+        kz = kq.reshape(qd, qh, qw, F, C, s, s, s).transpose(3, 4, 0, 5, 1, 6, 2, 7)
+        return kz.reshape(F, C, s * qd, s * qh, s * qw)[:, :, :kd, :kh, :kw]
 
 
-def _windows(xp, kshape, stride):
-    """Strided sliding windows over the three spatial axes of a 5-d array."""
-    w = sliding_window_view(xp, kshape, axis=(2, 3, 4))
-    if stride > 1:
-        w = w[:, :, ::stride, ::stride, ::stride]
-    return w
+@functools.lru_cache(maxsize=64)
+def _phase_grid(n, k, s, p):
+    return _PhaseGrid(n, k, s, p)
+
+
+def _phase_slices(n, s, p):
+    """(grid index, array index) pairs, one per phase, that map the array
+    [N, C, *n] padded by ``p`` onto the grid view [N, C, Md, s, Mh, s, Mw, s]."""
+    axes = []
+    for size in n:
+        axis = []
+        for r in range(s):
+            i0 = (r - p) % s  # first index whose padded position has phase r
+            m0 = (i0 + p) // s
+            axis.append(((slice(m0, m0 + len(range(i0, size, s))), r), slice(i0, None, s)))
+        axes.append(axis)
+    whole = (slice(None), slice(None))
+    return tuple((whole + gd + gh + gw, whole + (ad, ah, aw))
+                 for (gd, ad), (gh, ah), (gw, aw) in itertools.product(*axes))
+
+
+def _grid_view(grid, s, m, batch, start):
+    rows = grid.shape[0] // s ** 3
+    cells = batch * m[0] * m[1] * m[2]
+    view = grid[:, start:start + cells].reshape(rows, s, s, s, batch, *m)
+    return view.transpose(4, 0, 5, 1, 6, 2, 7, 3)
+
+
+def _to_grid(a, s, m, slices, width, start):
+    grid = np.zeros((a.shape[1] * s ** 3, width), a.dtype)
+    view = _grid_view(grid, s, m, a.shape[0], start)
+    for gi, ai in slices:
+        view[gi] = a[ai]
+    return grid
+
+
+def _from_grid(grid, s, m, slices, shape):
+    view = _grid_view(grid, s, m, shape[0], 0)
+    a = np.empty(shape, grid.dtype)
+    for gi, ai in slices:
+        a[ai] = view[gi]
+    return a
+
+
+def _corr(x, kq, offs, cols):
+    """y[:, i] = sum_q kq[q] @ x[:, i + offs[q]] for i < cols."""
+    y = kq[0] @ x[:, :cols]
+    part = np.empty_like(y)
+    for kk, off in zip(kq[1:], offs[1:]):
+        np.matmul(kk, x[:, off:off + cols], out=part)
+        y += part
+    return y
+
+
+def _adjoint(g, kq, offs, cols):
+    """Adjoint of ``_corr`` for ``g`` whose columns start at offs[-1]."""
+    lead = offs[-1]
+    x = kq[0].T @ g[:, lead:lead + cols]
+    part = np.empty_like(x)
+    for kk, off in zip(kq[1:], offs[1:]):
+        np.matmul(kk.T, g[:, lead - off:lead - off + cols], out=part)
+        x += part
+    return x
+
+
+def _wgrad(x, g, offs, cols):
+    """Kernel gradient of ``_corr``: [Q**3, F, C'] from x and the output
+    gradient ``g`` (columns from 0, zero wherever no output is)."""
+    return np.stack([g @ x[:, off:off + cols].T for off in offs])
 
 
 def conv3d(x, kernel, stride=1, padding=0):
@@ -499,52 +626,22 @@ def conv3d(x, kernel, stride=1, padding=0):
     if kd > D + 2 * padding or kh > H + 2 * padding or kw > W + 2 * padding:
         raise ValueError(
             f"conv3d kernel {kernel.data.shape[2:]} larger than padded input {(D + 2 * padding, H + 2 * padding, W + 2 * padding)}")
-    xp = _pad5(x.data, padding)
-    win = _windows(xp, (kd, kh, kw), stride)
-    y = np.tensordot(win, kernel.data, axes=([1, 5, 6, 7], [1, 2, 3, 4]))
-    y = np.ascontiguousarray(np.moveaxis(y, -1, 1))
+    pg = _phase_grid((D, H, W), (kd, kh, kw), stride, padding)
+    cols = pg.cols(N)
+    xg = pg.to_fine(x.data, cols)
+    y = pg.from_coarse(_corr(xg, pg.kernel(kernel.data), pg.offs, cols), (N, F) + pg.out)
     out = _make(y, (x, kernel))
     if out._parents:
-        def bwd(g, x=x, k=kernel, xp=xp, stride=stride, padding=padding):
+        def bwd(g, x=x, k=kernel, pg=pg, cols=cols, xg=xg):
+            gg = pg.to_coarse(g, cols)
             if k.requires_grad:
-                win = _windows(xp, k.data.shape[2:], stride)
-                gk = np.tensordot(g, win, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-                _accum(k, gk, fresh=True)
+                gk = _wgrad(xg, gg[:, pg.lead:], pg.offs, cols)
+                _accum(k, pg.unkernel(gk, k.data.shape))
             if x.requires_grad:
-                _accum(x, _conv3d_input_grad(g, k.data, stride, padding, x.data.shape), fresh=True)
+                gx = _adjoint(gg, pg.kernel(k.data), pg.offs, cols)
+                _accum(x, pg.from_fine(gx, x.data.shape), fresh=True)
         out._backward = bwd
     return out
-
-
-def _tap_scatter(src, k5, stride, full_spatial):
-    """Sum of per-tap channel maps scattered at stride offsets.
-
-    ``src``: [N, A, D, H, W]; ``k5``: [A, B, kd, kh, kw].  Returns
-    [N, B, *full_spatial] where tap (a, b, c) adds src mapped through
-    k5[:, :, a, b, c] at spatial offset (a, b, c) on the stride grid.
-    One batched gemm covers all taps; only the adds stay in the loop.
-    """
-    N, A, D, H, W = src.shape
-    _, B, kd, kh, kw = k5.shape
-    s2 = np.ascontiguousarray(np.moveaxis(src, 1, -1)).reshape(-1, A)
-    k2 = np.ascontiguousarray(k5).reshape(A, B * kd * kh * kw)
-    ct = (s2 @ k2).reshape(N, D, H, W, B, kd, kh, kw)
-    ct = np.ascontiguousarray(ct.transpose(5, 6, 7, 0, 4, 1, 2, 3))
-    full = np.zeros((N, B) + tuple(full_spatial), dtype=src.dtype)
-    for a in range(kd):
-        for b in range(kh):
-            for c in range(kw):
-                full[:, :, a:a + stride * D:stride, b:b + stride * H:stride,
-                     c:c + stride * W:stride] += ct[a, b, c]
-    return full
-
-
-def _conv3d_input_grad(g, k, stride, pad, in_shape):
-    N, C, D, H, W = in_shape
-    gxp = _tap_scatter(g, k, stride, (D + 2 * pad, H + 2 * pad, W + 2 * pad))
-    if pad:
-        return gxp[:, :, pad:pad + D, pad:pad + H, pad:pad + W]
-    return gxp
 
 
 def conv_transpose3d(x, kernel, stride=1, padding=0):
@@ -556,6 +653,8 @@ def conv_transpose3d(x, kernel, stride=1, padding=0):
     if x.data.ndim != 5 or kernel.data.ndim != 5:
         raise ValueError(
             f"conv_transpose3d expects input [N,C,d,h,w] and kernel [C,F,kd,kh,kw], got {x.data.shape} and {kernel.data.shape}")
+    if stride < 1:
+        raise ValueError(f"conv_transpose3d stride must be >= 1, got {stride}")
     N, C, D, H, W = x.data.shape
     Ck, F, kd, kh, kw = kernel.data.shape
     if Ck != C:
@@ -565,76 +664,26 @@ def conv_transpose3d(x, kernel, stride=1, padding=0):
     Wo = (W - 1) * stride + kw - 2 * padding
     if Do < 1 or Ho < 1 or Wo < 1:
         raise ValueError(f"conv_transpose3d output dims {(Do, Ho, Wo)} invalid for input {x.data.shape}")
-    y = _convt_forward(x.data, kernel.data, stride, padding)
+    # The conv3d whose input gradient this is: input (Do, Ho, Wo), output (D, H, W).
+    pg = _phase_grid((Do, Ho, Wo), (kd, kh, kw), stride, padding)
+    cols = pg.cols(N)
+    xg = pg.to_coarse(x.data, cols)
+    y = pg.from_fine(_adjoint(xg, pg.kernel(kernel.data), pg.offs, cols), (N, F, Do, Ho, Wo))
     out = _make(y, (x, kernel))
     if out._parents:
-        def bwd(g, x=x, k=kernel, stride=stride, padding=padding):
-            gp = _pad5(g, padding)
-            win = _windows(gp, k.data.shape[2:], stride)
+        def bwd(g, x=x, k=kernel, pg=pg, cols=cols):
+            gg = pg.to_fine(g, cols)
             if x.requires_grad:
-                gx = np.tensordot(win, k.data, axes=([1, 5, 6, 7], [1, 2, 3, 4]))
-                _accum(x, np.ascontiguousarray(np.moveaxis(gx, -1, 1)), fresh=True)
+                gx = _corr(gg, pg.kernel(k.data), pg.offs, cols)
+                _accum(x, pg.from_coarse(gx, x.data.shape), fresh=True)
             if k.requires_grad:
-                gk = np.tensordot(x.data, win, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-                _accum(k, gk, fresh=True)
+                gk = _wgrad(gg, pg.to_coarse(x.data, cols)[:, pg.lead:], pg.offs, cols)
+                _accum(k, pg.unkernel(gk, k.data.shape))
         out._backward = bwd
     return out
-
-
-def _convt_forward(x, k, stride, pad):
-    N, C, D, H, W = x.shape
-    _, F, kd, kh, kw = k.shape
-    Df = (D - 1) * stride + kd
-    Hf = (H - 1) * stride + kh
-    Wf = (W - 1) * stride + kw
-    full = _tap_scatter(x, k, stride, (Df, Hf, Wf))
-    if pad:
-        return np.ascontiguousarray(full[:, :, pad:Df - pad, pad:Hf - pad, pad:Wf - pad])
-    return full
 
 
 # -- pooling -------------------------------------------------------------------
-
-
-def _pool_windows(x, k):
-    N, C, D, H, W = x.shape
-    if D % k or H % k or W % k:
-        raise ValueError(f"pool window {k} must divide spatial dims {(D, H, W)}")
-    r = x.reshape(N, C, D // k, k, H // k, k, W // k, k)
-    return r.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(N, C, D // k, H // k, W // k, k ** 3)
-
-
-def _unpool_windows(gw, shape, k):
-    N, C, D, H, W = shape
-    g = gw.reshape(N, C, D // k, H // k, W // k, k, k, k)
-    return g.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(shape)
-
-
-def maxpool3d(x, k=2):
-    """Non-overlapping 3-d max pooling; ties route gradient to the first max."""
-    w = _pool_windows(x.data, k)
-    idx = w.argmax(axis=-1)
-    y = np.take_along_axis(w, idx[..., None], axis=-1)[..., 0]
-    out = _make(np.ascontiguousarray(y), (x,))
-    if out._parents:
-        def bwd(g, a=x, idx=idx, k=k, wshape=w.shape):
-            gw = np.zeros(wshape, dtype=g.dtype)
-            np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-            _accum(a, _unpool_windows(gw, a.data.shape, k), fresh=True)
-        out._backward = bwd
-    return out
-
-
-def avgpool3d(x, k=2):
-    """Non-overlapping 3-d average pooling."""
-    w = _pool_windows(x.data, k)
-    out = _make(np.ascontiguousarray(w.mean(axis=-1)), (x,))
-    if out._parents:
-        def bwd(g, a=x, k=k):
-            gw = np.repeat((g / k ** 3)[..., None], k ** 3, axis=-1)
-            _accum(a, _unpool_windows(gw, a.data.shape, k), fresh=True)
-        out._backward = bwd
-    return out
 
 
 def global_avg_pool(x):

@@ -18,7 +18,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -431,13 +431,34 @@ def train_fusion(subjects, cfg: TrainConfig, mmg_model=None, *, seed_seq=None,
         tensors = model.state_dict()
         tensors["standardizer.mean"] = standardizer.mean.astype(np.float32)
         tensors["standardizer.std"] = standardizer.std.astype(np.float32)
+        # The float32 standardizer tensors stay for readers of the tensor
+        # entries, but they are rounded; load_fusion uses the meta's
+        # float64 lists, which JSON round-trips exactly.
         meta = {
             "stage": 2, "seed": int(cfg.seed), "config_hash": config_hash,
             "use_mmg": bool(cfg.use_mmg), "use_tcaf": bool(cfg.use_tcaf),
-            "alpha_focal": [float(a) for a in loss_cfg.alpha_focal],
+            "encoder": asdict(cfg.enc),
+            "loss": dict(asdict(loss_cfg), alpha_focal=[float(a) for a in loss_cfg.alpha_focal]),
+            "standardizer": {"mean": standardizer.mean.tolist(), "std": standardizer.std.tolist()},
         }
         save_checkpoint(os.path.join(out_dir, "fusion.itck"), tensors, meta)
     return FusionBundle(model, standardizer, loss_cfg, history)
+
+
+def load_fusion(path):
+    """Rebuild a stage-2 bundle from its checkpoint alone: encoder widths,
+    head, loss config and the standardizer's exact statistics come from
+    the checkpoint's meta, so the bundle scores as the trained one did."""
+    tensors, meta = load_checkpoint(path)
+    del tensors["standardizer.mean"], tensors["standardizer.std"]
+    standardizer = Standardizer()
+    standardizer.mean = np.array(meta["standardizer"]["mean"], dtype=np.float64)
+    standardizer.std = np.array(meta["standardizer"]["std"], dtype=np.float64)
+    model = FusionModel(np.random.default_rng(0), EncoderConfig(**meta["encoder"]),
+                        use_tcaf=meta["use_tcaf"])
+    model.load_state_dict(tensors)
+    loss_cfg = LossConfig(**dict(meta["loss"], alpha_focal=tuple(meta["loss"]["alpha_focal"])))
+    return FusionBundle(model, standardizer, loss_cfg, [])
 
 
 def _sdm_terms(feats, y, loss_cfg):

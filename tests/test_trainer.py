@@ -10,7 +10,7 @@ import pytest
 from trimodal.mmg import MmgConfig, MmgModel
 from trimodal.losses import LossConfig
 from trimodal.nn import Parameter
-from trimodal.synthdata import split_kfold
+from trimodal.synthdata import clinical_matrix, split_kfold
 from trimodal.trainer import (
     Adam,
     Instrument,
@@ -21,6 +21,7 @@ from trimodal.trainer import (
     _imputation_noise,
     assemble_pet,
     evaluate_fusion,
+    load_fusion,
     run_cv,
     run_cv_fold,
     train_fusion,
@@ -249,6 +250,20 @@ def test_evaluate_fusion_metric_row(small_subjects):
         assert key in row
     assert 0.0 <= row["auc"] <= 1.0
     assert row["tp"] + row["tn"] + row["fp"] + row["fn"] == len(small_subjects)
+
+
+def test_load_fusion_scores_held_out_subjects_like_the_trained_bundle(small_subjects, tmp_path):
+    ids = [s.subject_id for s in small_subjects]
+    labels = [s.label for s in small_subjects]
+    test_ids = set(split_kfold(ids, 2, 0, labels=labels)[0])
+    train = [s for s in small_subjects if s.subject_id not in test_ids]
+    held_out = [s for s in small_subjects if s.subject_id in test_ids]
+    bundle = train_fusion(train, fast_train_config(use_mmg=False), None, out_dir=str(tmp_path))
+    loaded = load_fusion(str(tmp_path / "fusion.itck"))
+    clin = clinical_matrix(held_out)
+    assert np.array_equal(loaded.standardizer.transform(clin), bundle.standardizer.transform(clin))
+    assert loaded.loss_cfg == bundle.loss_cfg
+    assert evaluate_fusion(loaded, held_out, None) == evaluate_fusion(bundle, held_out, None)
 
 
 # -- cross-validation ------------------------------------------------------
