@@ -6,6 +6,14 @@ and a backward rule on the output; ``Tensor.backward`` replays the rules
 in reverse creation order, which is a valid topological order because an
 op's inputs always exist before its output.
 
+Backward frees the graph as it replays it.  A rule never holds its own
+output tensor, so a graph has no reference cycles and its buffers are
+released by reference counting, without waiting for the cyclic garbage
+collector.  Once a node's rule has run, the node drops its parents, its
+gradient and its rule: non-leaf tensors keep no gradient, leaves
+(parameters and tensors created with ``requires_grad=True``) keep theirs,
+and a second backward through a freed node raises ``RuntimeError``.
+
 The primitive set is closed on purpose: dense maps, 3-d convolution
 (plain and transposed), global average pooling, pointwise nonlinearities,
 softmax, reductions and shape plumbing: exactly what the fusion pipeline
@@ -106,10 +114,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Backpropagate from a scalar output through the recorded tape."""
+        """Backpropagate from a scalar output through the recorded tape,
+        freeing each node once its rule has run (see the module docstring)."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.data.shape}")
-        # Reachable sub-tape, replayed in reverse creation order.
+        # Reachable sub-tape, popped in reverse creation order.
         tape = []
         seen = {self._id}
         stack = [self]
@@ -120,11 +129,17 @@ class Tensor:
                 if p._id not in seen and p._backward is not None:
                     seen.add(p._id)
                     stack.append(p)
-        tape.sort(key=lambda n: n._id, reverse=True)
+        tape.sort(key=lambda n: n._id)
         self.grad = np.ones_like(self.data)
-        for node in tape:
-            if node._backward is not None and node.grad is not None:
+        while tape:
+            node = tape.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = _freed
 
     # -- arithmetic --------------------------------------------------------
 
@@ -197,19 +212,19 @@ class Tensor:
             return self * (1.0 / other)
         out = _make(self.data / other.data, (self, other))
         if out._parents:
-            def bwd(g, a=self, b=other, y=out):
+            def bwd(g, a=self, b=other, y=out.data):
                 if a.requires_grad:
                     _accum(a, _unbroadcast(g / b.data, a.data.shape), fresh=True)
                 if b.requires_grad:
-                    _accum(b, _unbroadcast(-g * y.data / b.data, b.data.shape), fresh=True)
+                    _accum(b, _unbroadcast(-g * y / b.data, b.data.shape), fresh=True)
             out._backward = bwd
         return out
 
     def __rtruediv__(self, other):
         out = _make(other / self.data, (self,))
         if out._parents:
-            out._backward = lambda g, a=self, y=out: _accum(
-                a, _unbroadcast(-g * y.data / a.data, a.data.shape), fresh=True)
+            out._backward = lambda g, a=self, y=out.data: _accum(
+                a, _unbroadcast(-g * y / a.data, a.data.shape), fresh=True)
         return out
 
     def __matmul__(self, other):
@@ -232,7 +247,7 @@ class Tensor:
     def sqrt(self):
         out = _make(np.sqrt(self.data), (self,))
         if out._parents:
-            out._backward = lambda g, a=self, y=out: _accum(a, g * (0.5 / y.data), fresh=True)
+            out._backward = lambda g, a=self, y=out.data: _accum(a, g * (0.5 / y), fresh=True)
         return out
 
     def powf(self, c):
@@ -251,7 +266,7 @@ class Tensor:
     def exp(self):
         out = _make(np.exp(self.data), (self,))
         if out._parents:
-            out._backward = lambda g, y=out, a=self: _accum(a, g * y.data, fresh=True)
+            out._backward = lambda g, y=out.data, a=self: _accum(a, g * y, fresh=True)
         return out
 
     def relu(self):
@@ -270,13 +285,13 @@ class Tensor:
     def tanh(self):
         out = _make(np.tanh(self.data), (self,))
         if out._parents:
-            out._backward = lambda g, y=out, a=self: _accum(a, g * (1.0 - y.data * y.data), fresh=True)
+            out._backward = lambda g, y=out.data, a=self: _accum(a, g * (1.0 - y * y), fresh=True)
         return out
 
     def sigmoid(self):
         out = _make(1.0 / (1.0 + np.exp(-self.data)), (self,))
         if out._parents:
-            out._backward = lambda g, y=out, a=self: _accum(a, g * (y.data * (1.0 - y.data)), fresh=True)
+            out._backward = lambda g, y=out.data, a=self: _accum(a, g * (y * (1.0 - y)), fresh=True)
         return out
 
     # -- shape -------------------------------------------------------------
@@ -302,7 +317,7 @@ class Tensor:
         if out._parents:
             def bwd(g, a=self, key=key):
                 gz = np.zeros_like(a.data)
-                gz[key] += g
+                np.add.at(gz, key, g)  # repeated indices accumulate
                 _accum(a, gz, fresh=True)
             out._backward = bwd
         return out
@@ -339,6 +354,11 @@ def _make(data, parents):
         out.requires_grad = False
         out._parents = ()
     return out
+
+
+def _freed(g):
+    """Rule left on a node whose graph an earlier ``backward()`` freed."""
+    raise RuntimeError("backward() through a graph that an earlier backward() already freed")
 
 
 def _accum(t, g, fresh=False):

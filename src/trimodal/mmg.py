@@ -237,14 +237,14 @@ def discriminator_loss(scores_real, scores_fake):
     return ((scores_real - 1.0).square().mean() + scores_fake.square().mean()) * 0.5
 
 
-def hybrid_loss(y_true, y_gen, z_hat, z_q, disc_scores, w, *, beta=0.25,
-                perceptual_net=None, codebook=None, indices=None):
+def hybrid_loss(y_true, y_gen, z_hat, disc_scores, w, *, codebook, indices,
+                beta=0.25, perceptual_net=None):
     """total = w_l1*L1 + w_qua*LQua + w_per*LPer + w_adv*LAdv.
 
-    ``z_q`` carries the forward quantized values; when ``codebook`` and
-    ``indices`` are given the quantization term is rebuilt through a
-    differentiable code gather so its gradient reaches the codebook rather
-    than leaking through the straight-through estimator.
+    The quantization term is built from ``indices`` (as returned by
+    ``quantize``) through a differentiable gather of ``codebook`` rows, so
+    its gradient reaches the codebook rather than leaking through the
+    straight-through estimator.
     Returns (total, components) with components as named python floats.
     """
     w = tuple(float(x) for x in w)
@@ -257,10 +257,7 @@ def hybrid_loss(y_true, y_gen, z_hat, z_q, disc_scores, w, *, beta=0.25,
         raise ValueError(f"shape mismatch: {y_true.data.shape} vs {y_gen.data.shape}")
 
     l1 = (y_gen - y_true).abs().mean()
-    if codebook is not None and indices is not None:
-        qua = quantization_loss(z_hat, codebook, indices, beta)
-    else:
-        qua = (z_hat.detach() - z_q).square().mean() + (z_hat - z_q.detach()).square().mean() * beta
+    qua = quantization_loss(z_hat, codebook, indices, beta)
     if w_per != 0.0 and perceptual_net is not None:
         per = perceptual_loss(perceptual_net, y_true, y_gen)
     else:

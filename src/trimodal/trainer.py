@@ -209,9 +209,9 @@ def train_mmg(subjects, cfg: TrainConfig, *, seed_seq=None, out_dir=None,
             model.disc.set_trainable(False)
             scores_fake = model.disc(y_gen)
             total, comps = hybrid_loss(
-                y_true, y_gen, z_hat, z_q, scores_fake, cfg.mmg.weights(),
-                beta=cfg.mmg.beta, perceptual_net=model.perceptual,
-                codebook=model.codebook, indices=code_idx)
+                y_true, y_gen, z_hat, scores_fake, cfg.mmg.weights(),
+                codebook=model.codebook, indices=code_idx,
+                beta=cfg.mmg.beta, perceptual_net=model.perceptual)
             opt_gen.zero_grad()
             total.backward()
             opt_gen.step()

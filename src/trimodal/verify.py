@@ -366,8 +366,10 @@ def check_identity_hybrid_single_weight():
     y_true = Tensor(r.normal(size=(2, 1, 4, 4, 4)).astype(np.float32))
     y_gen = Tensor(r.normal(size=(2, 1, 4, 4, 4)).astype(np.float32))
     z_hat = Tensor(r.normal(size=(2, 3, 1, 1, 1)).astype(np.float32))
-    z_q = Tensor(r.normal(size=(2, 3, 1, 1, 1)).astype(np.float32))
-    total, comps = mmg.hybrid_loss(y_true, y_gen, z_hat, z_q, None, (0.7, 0.3, 0.0, 0.0))
+    book = mmg.Codebook(_rng(108), 4, 3)
+    z_q, idx = mmg.quantize(z_hat, book)
+    total, comps = mmg.hybrid_loss(y_true, y_gen, z_hat, None, (0.7, 0.3, 0.0, 0.0),
+                                   codebook=book, indices=idx)
     l1 = float(np.abs(y_gen.data - y_true.data).mean())
     qua = float(((z_hat.data - z_q.data) ** 2).mean() * (1 + 0.25))
     _expect(abs(float(total.data) - (0.7 * l1 + 0.3 * qua)) < 1e-6,

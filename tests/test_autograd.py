@@ -4,6 +4,7 @@ All finite-difference checks run in float64; float32 rounding would
 drown the h**2 truncation error of the central difference.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -291,6 +292,12 @@ def test_gather_rows_accumulates_repeats():
     assert np.allclose(table.grad[0], 0.0)
 
 
+def test_getitem_accumulates_repeated_indices():
+    x = t64(np.array([1.0, 2.0, 3.0]))
+    x[np.array([0, 0, 1])].sum().backward()
+    assert np.array_equal(x.grad, [2.0, 1.0, 0.0])
+
+
 # -- graph mechanics -----------------------------------------------------------
 
 
@@ -344,3 +351,48 @@ def test_backward_requires_scalar(rng):
     x = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
         (x * 2.0).backward()
+
+
+# -- tape release --------------------------------------------------------------
+
+
+def _formerly_cyclic_ops(x):
+    """A graph through the six ops whose backward rules read their own output."""
+    return (2.0 / (x / (x.exp() + 1.0)).sqrt().tanh().sigmoid()).sum()
+
+
+def test_dropped_graphs_leave_no_cyclic_garbage(rng):
+    x = t64(rng.uniform(0.5, 1.5, (3, 4)))
+    gc.collect()
+    gc.disable()
+    try:
+        _formerly_cyclic_ops(x)           # dropped without a backward
+        _formerly_cyclic_ops(x).backward()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert x.grad is not None
+
+
+def test_backward_frees_non_leaf_grads_and_keeps_leaf_grads(rng):
+    x = t64(rng.standard_normal((3, 4)))
+    w = t64(rng.standard_normal((3, 4)))
+    h = x * w
+    e = h.exp()
+    loss = e.sum()
+    loss.backward()
+    assert h.grad is None and e.grad is None and loss.grad is None
+    assert np.array_equal(x.grad, np.exp(x.data * w.data) * w.data)
+    assert np.array_equal(w.grad, np.exp(x.data * w.data) * x.data)
+    assert np.array_equal(e.data, np.exp(x.data * w.data))  # forward values stay
+
+
+def test_second_backward_through_freed_nodes_raises(rng):
+    x = t64(rng.standard_normal((2, 3)))
+    h = x.tanh()
+    loss = h.sum()
+    loss.backward()
+    with pytest.raises(RuntimeError, match="freed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="freed"):
+        (h * 2.0).sum().backward()

@@ -120,9 +120,9 @@ def test_hybrid_loss_single_weight_recovers_component(rng, model):
     names = ("l1", "qua", "per", "adv")
     for pos in range(4):
         weights = tuple(1.0 if i == pos else 0.0 for i in range(4))
-        total, comps = hybrid_loss(y_true, y_gen, z_hat, z_q, scores, weights,
-                                   beta=0.25, perceptual_net=model.perceptual,
-                                   codebook=model.codebook, indices=idx)
+        total, comps = hybrid_loss(y_true, y_gen, z_hat, scores, weights,
+                                   codebook=model.codebook, indices=idx,
+                                   beta=0.25, perceptual_net=model.perceptual)
         assert abs(total.item() - comps[names[pos]]) < 1e-5
 
 
@@ -135,9 +135,9 @@ def test_l1_component_hand_value(rng, model):
     y_gen = model.decode(z_q)
     y_true = Tensor(y_gen.data + 0.5)
     scores = model.disc(y_gen)
-    total, comps = hybrid_loss(y_true, y_gen, z_hat, z_q, scores, (1.0, 0.0, 0.0, 0.0),
-                               beta=0.25, perceptual_net=model.perceptual,
-                               codebook=model.codebook, indices=idx)
+    total, comps = hybrid_loss(y_true, y_gen, z_hat, scores, (1.0, 0.0, 0.0, 0.0),
+                               codebook=model.codebook, indices=idx,
+                               beta=0.25, perceptual_net=model.perceptual)
     assert abs(comps["l1"] - 0.5) < 1e-5
 
 

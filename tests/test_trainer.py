@@ -2,6 +2,7 @@
 frozen-generator contract, fold hygiene, and report structure."""
 
 import dataclasses
+import gc
 import json
 
 import numpy as np
@@ -310,3 +311,19 @@ def test_run_cv_is_reproducible(small_subjects):
     r1 = run_cv(small_subjects, cfg)
     r2 = run_cv(small_subjects, cfg)
     assert r1 == r2
+
+
+def test_training_leaves_no_cyclic_garbage(small_subjects):
+    """Each step's graph is released by reference counting alone."""
+    cfg = fast_train_config(epochs_stage1=1, epochs_stage2=1)
+    # warm-up: the first call imports modules whose set-up leaves cyclic garbage
+    train_fusion(small_subjects, cfg, train_mmg(small_subjects, cfg)[0])
+    gc.collect()
+    gc.disable()
+    try:
+        model, _ = train_mmg(small_subjects, cfg)
+        train_fusion(small_subjects, cfg, model)
+        del model
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
