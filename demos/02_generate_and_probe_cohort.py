@@ -21,13 +21,12 @@ from trimodal.synthdata import (
 
 def main():
     cfg = CohortConfig(n_subjects=120, seed=3)
-    out = tempfile.mkdtemp(prefix="cohort_demo_")
-    summary = generate_cohort(cfg, out)
-    print(f"wrote {summary['n_subjects']} subjects to {out}")
-    print(f"  pMCI/sMCI      {summary['n_pmci']}/{summary['n_smci']}")
-    print(f"  missing PET    {summary['n_missing_pet']}")
-
-    subjects = load_cohort(out)
+    with tempfile.TemporaryDirectory(prefix="cohort_demo_") as out:
+        summary = generate_cohort(cfg, out)
+        print(f"wrote {summary['n_subjects']} subjects to {out}")
+        print(f"  pMCI/sMCI      {summary['n_pmci']}/{summary['n_smci']}")
+        print(f"  missing PET    {summary['n_missing_pet']}")
+        subjects = load_cohort(out)
     y = np.array([s.label for s in subjects])
 
     # the planted latent separates the classes perfectly by construction

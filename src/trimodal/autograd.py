@@ -17,7 +17,9 @@ and a second backward through a freed node raises ``RuntimeError``.
 The primitive set is closed on purpose: dense maps, 3-d convolution
 (plain and transposed), global average pooling, pointwise nonlinearities,
 softmax, reductions and shape plumbing: exactly what the fusion pipeline
-needs.  Both convolutions and their gradients run on one phase-grid
+needs.  Two fused ops outside this module, ``nn.LayerNorm`` and
+``losses.sdm_loss``, record one node each through ``_make`` and
+``_accum`` with a closed-form backward.  Both convolutions and their gradients run on one phase-grid
 kernel of shifted GEMMs (see the conv section).  All accumulation happens
 in numpy's fixed-order reductions, so repeated runs on the same inputs
 are bit-identical; the conv kernel also gives the same bits at one or two
@@ -542,19 +544,32 @@ class _PhaseGrid:
 
     def kernel(self, k):
         """[F, C, *k] -> [Q**3, F, C*s**3], zero taps beyond k."""
-        s, (qd, qh, qw) = self.s, self.q
-        F, C, kd, kh, kw = k.shape
-        kz = np.zeros((F, C, s * qd, s * qh, s * qw), k.dtype)
-        kz[:, :, :kd, :kh, :kw] = k
-        kz = kz.reshape(F, C, qd, s, qh, s, qw, s).transpose(2, 4, 6, 0, 1, 3, 5, 7)
-        return kz.reshape(qd * qh * qw, F, C * s ** 3)
+        taps, _ = _kernel_maps(self.s, self.q, k.shape)
+        return np.concatenate((k.reshape(-1), np.zeros(1, k.dtype)))[taps]
 
     def unkernel(self, kq, shape):
         """Inverse of ``kernel``: [Q**3, F, C*s**3] -> [F, C, *k]."""
-        s, (qd, qh, qw) = self.s, self.q
-        F, C, kd, kh, kw = shape
-        kz = kq.reshape(qd, qh, qw, F, C, s, s, s).transpose(3, 4, 0, 5, 1, 6, 2, 7)
-        return kz.reshape(F, C, s * qd, s * qh, s * qw)[:, :, :kd, :kh, :kw]
+        _, slots = _kernel_maps(self.s, self.q, shape)
+        return kq.reshape(-1)[slots]
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel_maps(s, q, shape):
+    """Flat index maps of ``_PhaseGrid.kernel`` (into the kernel with one
+    zero appended, read by the taps beyond k) and of its inverse."""
+    qd, qh, qw = q
+    F, C, kd, kh, kw = shape
+    r = np.arange(s)
+    td = (s * np.arange(qd)[:, None] + r).reshape(qd, 1, 1, 1, 1, s, 1, 1)
+    th = (s * np.arange(qh)[:, None] + r).reshape(1, qh, 1, 1, 1, 1, s, 1)
+    tw = (s * np.arange(qw)[:, None] + r).reshape(1, 1, qw, 1, 1, 1, 1, s)
+    fc = np.arange(F * C).reshape(1, 1, 1, F, C, 1, 1, 1)
+    size = F * C * kd * kh * kw
+    taps = np.where((td < kd) & (th < kh) & (tw < kw), ((fc * kd + td) * kh + th) * kw + tw, size)
+    taps = taps.reshape(qd * qh * qw, F, C * s ** 3)
+    slots = np.empty(size + 1, np.intp)
+    slots[taps.reshape(-1)] = np.arange(taps.size)
+    return taps, slots[:-1].reshape(shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -625,7 +640,7 @@ def _adjoint(g, kq, offs, cols):
 def _wgrad(x, g, offs, cols):
     """Kernel gradient of ``_corr``: [Q**3, F, C'] from x and the output
     gradient ``g`` (columns from 0, zero wherever no output is)."""
-    return np.stack([g @ x[:, off:off + cols].T for off in offs])
+    return np.stack([(x[:, off:off + cols] @ g.T).T for off in offs])
 
 
 def conv3d(x, kernel, stride=1, padding=0):
@@ -656,7 +671,7 @@ def conv3d(x, kernel, stride=1, padding=0):
             gg = pg.to_coarse(g, cols)
             if k.requires_grad:
                 gk = _wgrad(xg, gg[:, pg.lead:], pg.offs, cols)
-                _accum(k, pg.unkernel(gk, k.data.shape))
+                _accum(k, pg.unkernel(gk, k.data.shape), fresh=True)
             if x.requires_grad:
                 gx = _adjoint(gg, pg.kernel(k.data), pg.offs, cols)
                 _accum(x, pg.from_fine(gx, x.data.shape), fresh=True)
@@ -698,7 +713,7 @@ def conv_transpose3d(x, kernel, stride=1, padding=0):
                 _accum(x, pg.from_coarse(gx, x.data.shape), fresh=True)
             if k.requires_grad:
                 gk = _wgrad(gg, pg.to_coarse(x.data, cols)[:, pg.lead:], pg.offs, cols)
-                _accum(k, pg.unkernel(gk, k.data.shape))
+                _accum(k, pg.unkernel(gk, k.data.shape), fresh=True)
         out._backward = bwd
     return out
 

@@ -10,6 +10,7 @@ connection and layer normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,7 @@ class SelfAttention(Module):
             return z.reshape(n, t, h, dh).transpose((0, 2, 1, 3))
 
         q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
-        scores = matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+        scores = matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
         attn = softmax(scores, axis=-1)
         mixed = matmul(attn, v)  # [N,h,t,dh]
         merged = mixed.transpose((0, 2, 1, 3)).reshape(n, t, self.cfg.d_attn)

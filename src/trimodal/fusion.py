@@ -12,7 +12,7 @@ co-attention) implements the fusion-off ablation mode.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .autograd import Tensor, concat, matmul, softmax
 from .nn import Linear, Module
@@ -40,7 +40,7 @@ class CoAttention(Module):
         if len(shapes) != 1:
             raise ValueError(f"modality features must share shape, got {sorted(shapes)}")
         q = self.wq(concat(feats, axis=-1))
-        scale = 1.0 / np.sqrt(self.d_k)
+        scale = 1.0 / math.sqrt(self.d_k)
         hidden, weights = [], []
         for i, f in enumerate(feats):
             k = self.wk[i](f)

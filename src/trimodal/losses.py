@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, softmax
+from .autograd import Tensor, _accum, _make
 
 
 @dataclass
@@ -57,6 +57,8 @@ def inverse_class_weights(labels):
 # Floor for p_t inside the log; keeps a saturated softmax from emitting
 # -inf without disturbing identity tests at their stated tolerances.
 _P_FLOOR = 1e-12
+# Floor for the SDM softmax rows inside p * log(p).
+_SDM_FLOOR = 1e-30
 
 
 def focal_loss(probs, labels, cfg: LossConfig):
@@ -73,7 +75,7 @@ def focal_loss(probs, labels, cfg: LossConfig):
         raise ValueError("probs outside [0, 1]")
     n = probs.data.shape[0]
     p_t = probs[np.arange(n), y.astype(np.int64)]
-    lift = _P_FLOOR * (p_t.data < _P_FLOOR)
+    lift = (p_t.data < _P_FLOOR) * p_t.data.dtype.type(_P_FLOOR)
     if lift.any():
         p_t = p_t + lift
     alpha = np.ones(2) if cfg.alpha_focal is None else np.asarray(cfg.alpha_focal, dtype=np.float64)
@@ -83,26 +85,6 @@ def focal_loss(probs, labels, cfg: LossConfig):
         return (nll * a_y).mean()
     focus = (1.0 - p_t).powf(cfg.gamma)
     return (focus * nll * a_y).mean()
-
-
-def _row_normalize(feats):
-    norms = np.sqrt((feats.data ** 2).sum(axis=1))
-    if (norms == 0).any():
-        bad = int(np.argmin(norms))
-        raise ValueError(f"zero-norm feature vector at row {bad}")
-    sq = feats.square().sum(axis=1, keepdims=True)
-    return feats / sq.sqrt()
-
-
-def _sdm_direction(a_hat, b_hat, q, tau):
-    sim = a_hat @ b_hat.transpose((1, 0))
-    p = softmax(sim * (1.0 / tau), axis=1)
-    underflow = 1e-30 * (p.data < 1e-30)
-    if underflow.any():  # keep p*log(p) finite when softmax saturates
-        p = p + underflow
-    log_q = np.log(q)
-    kl_rows = (p * (p.log() - log_q)).sum(axis=1)
-    return kl_rows.mean()
 
 
 def sdm_loss(feat_a, feat_b, labels, cfg: LossConfig):
@@ -129,12 +111,49 @@ def sdm_loss(feat_a, feat_b, labels, cfg: LossConfig):
     match = (y[:, None] == y[None, :]).astype(np.float64)
     q = np.maximum(match, cfg.eps)
     q /= q.sum(axis=1, keepdims=True)
-    q = q.astype(feat_a.data.dtype)
-    a_hat = _row_normalize(feat_a)
-    b_hat = _row_normalize(feat_b)
-    fwd = _sdm_direction(a_hat, b_hat, q, cfg.tau)
-    bwd = _sdm_direction(b_hat, a_hat, q, cfg.tau)
-    return (fwd + bwd) * 0.5
+    log_q = np.log(q.astype(feat_a.data.dtype))
+    a_hat, a_norm = _unit_rows(feat_a.data)
+    b_hat, b_norm = _unit_rows(feat_b.data)
+    sim = a_hat @ b_hat.T
+    p_ab, r_ab, kl_ab = _softmax_kl_rows(sim, log_q, cfg.tau)
+    p_ba, r_ba, kl_ba = _softmax_kl_rows(sim.T, log_q, cfg.tau)
+    out = _make((kl_ab.mean() + kl_ba.mean()) * 0.5, (feat_a, feat_b))
+    if out._parents:
+        def bwd(g, a=feat_a, b=feat_b):
+            # d/dsim of 0.5 * (mean_i KL_i(ab) + mean_j KL_j(ba)): each
+            # softmax row contributes p * (r - sum(p * r)), r = log p - log q.
+            d_ab = p_ab * (r_ab - (p_ab * r_ab).sum(axis=1, keepdims=True))
+            d_ba = p_ba * (r_ba - (p_ba * r_ba).sum(axis=1, keepdims=True))
+            d_sim = (d_ab + d_ba.T) * (g * (0.5 / (n * cfg.tau)))
+            if a.requires_grad:
+                _accum(a, _unit_rows_grad(d_sim @ b_hat, a_hat, a_norm), fresh=True)
+            if b.requires_grad:
+                _accum(b, _unit_rows_grad(d_sim.T @ a_hat, b_hat, b_norm), fresh=True)
+        out._backward = bwd
+    return out
+
+
+def _unit_rows(x):
+    """Rows of ``x`` scaled to unit length, and their norms [N, 1]."""
+    norm = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    if (norm == 0).any():
+        raise ValueError(f"zero-norm feature vector at row {int(np.argmin(norm))}")
+    return x / norm, norm
+
+
+def _unit_rows_grad(g_hat, x_hat, norm):
+    """Gradient through ``_unit_rows`` given the gradient of its rows."""
+    return (g_hat - x_hat * (g_hat * x_hat).sum(axis=1, keepdims=True)) / norm
+
+
+def _softmax_kl_rows(sim, log_q, tau):
+    """Row softmax p of sim / tau, r = log p - log q, and each row's KL."""
+    z = sim * (1.0 / tau)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    lifted = p + (p < _SDM_FLOOR) * p.dtype.type(_SDM_FLOOR)
+    r = np.log(lifted) - log_q
+    return p, r, (lifted * r).sum(axis=1)
 
 
 def triple_loss(l_mt, l_pt, l_mp, lam):

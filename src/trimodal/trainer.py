@@ -55,7 +55,13 @@ class OptimizerNaNError(RuntimeError):
 
 
 class Adam:
-    """Bias-corrected Adam over a list of (name, Parameter) pairs."""
+    """Bias-corrected Adam over a list of (name, Parameter) pairs.
+
+    The moments of all parameters live in one flat buffer each, so a step
+    is a handful of whole-buffer operations instead of a loop of them; the
+    per-element arithmetic is the per-parameter update's, bit for bit.  A
+    parameter whose ``grad`` is None keeps its data and its moments.
+    """
 
     def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr <= 0:
@@ -64,8 +70,14 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for _, p in self.named_params]
-        self.v = [np.zeros_like(p.data) for _, p in self.named_params]
+        # (name, parameter, lo, hi): each parameter's slice of the flat buffers
+        self.spans, lo = [], 0
+        for name, p in self.named_params:
+            self.spans.append((name, p, lo, lo + p.data.size))
+            lo += p.data.size
+        dtype = self.named_params[0][1].data.dtype if self.named_params else np.float32
+        self.m = np.zeros(lo, dtype)
+        self.v = np.zeros(lo, dtype)
 
     def zero_grad(self):
         for _, p in self.named_params:
@@ -76,17 +88,23 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for i, (name, p) in enumerate(self.named_params):
-            g = p.grad
-            if g is None:
-                continue
-            if np.isnan(g).any():
-                raise OptimizerNaNError(
-                    f"NaN gradient in parameter {name!r} at step {self.t}")
-            g = g.astype(p.data.dtype, copy=False)
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            p.data -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+        if not self.spans:
+            return
+        g = np.concatenate([np.zeros(hi - lo, self.m.dtype) if p.grad is None else p.grad.reshape(-1)
+                            for _, p, lo, hi in self.spans])
+        if np.isnan(g).any():
+            name = next(name for name, _, lo, hi in self.spans if np.isnan(g[lo:hi]).any())
+            raise OptimizerNaNError(f"NaN gradient in parameter {name!r} at step {self.t}")
+        m = b1 * self.m + (1.0 - b1) * g
+        v = b2 * self.v + (1.0 - b2) * (g * g)
+        update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        for _, p, lo, hi in self.spans:
+            if p.grad is None:
+                m[lo:hi] = self.m[lo:hi]
+                v[lo:hi] = self.v[lo:hi]
+            else:
+                p.data -= update[lo:hi].reshape(p.data.shape)
+        self.m, self.v = m, v
 
 
 # Ablation modes of the paper's grid -> (use_mmg, use_tcaf).

@@ -17,7 +17,7 @@ from . import losses, metrics, mmg, synthdata
 from .autograd import Tensor, concat, conv3d, conv_transpose3d, gather_rows, \
     global_avg_pool, matmul, softmax
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoders import EncoderConfig, ModalityEncoders
+from .encoders import EncoderConfig, ModalityEncoders, SelfAttention
 from .fusion import CoAttention
 from .gradcheck import check_grad
 from .losses import LossConfig
@@ -311,6 +311,36 @@ def check_oracle_coattention_loops():
                 _expect(err < 1e-5, f"modality {i} subject {n} token {t}: diff {err:.2e}")
 
 
+def check_oracle_selfattention_loops():
+    cfg = EncoderConfig(tokens=5, d_tok=6, heads=2, d_attn=16)
+    att = SelfAttention(_rng(109), cfg)
+    r = _rng(38)
+    x = r.normal(size=(2, 5, 6)).astype(np.float32)
+    got = att(Tensor(x)).data
+
+    def affine(lin, z):
+        return z @ lin.weight.data.astype(np.float64) + lin.bias.data
+    dh = cfg.d_attn // cfg.heads
+    gamma, beta, eps = att.norm.gamma.data, att.norm.beta.data, att.norm.eps
+    for n in range(2):
+        xn = x[n].astype(np.float64)
+        q, k, v = affine(att.wq, xn), affine(att.wk, xn), affine(att.wv, xn)
+        merged = np.zeros((5, cfg.d_attn))
+        for h in range(cfg.heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            for t in range(5):
+                scores = np.array([q[t, cols] @ k[j, cols] for j in range(5)]) / np.sqrt(dh)
+                e = np.exp(scores - scores.max())
+                weights = e / e.sum()
+                merged[t, cols] = sum(weights[j] * v[j, cols] for j in range(5))
+        y = xn + affine(att.wo, merged)
+        for t in range(5):
+            mu = y[t].mean()
+            ref = (y[t] - mu) / np.sqrt(((y[t] - mu) ** 2).mean() + eps) * gamma + beta
+            err = np.abs(got[n, t] - ref).max()
+            _expect(err < 1e-5, f"subject {n} token {t}: diff {err:.2e}")
+
+
 def check_oracle_auc_pairwise():
     r = _rng(30)
     scores = np.round(r.normal(size=30), 1)  # coarse grid forces ties
@@ -389,6 +419,19 @@ def check_identity_sdm_zero_nonneg():
     _expect(val >= -1e-7, f"sdm loss negative: {val}")
 
 
+def check_identity_layernorm_hand_value():
+    ln = LayerNorm(4, eps=1e-5).to_dtype(np.float64)
+    ln.gamma.data[:] = [1.0, 2.0, 0.5, -1.0]
+    ln.beta.data[:] = [0.0, 0.1, -0.2, 0.3]
+    got = ln(Tensor(np.array([[0.01, 0.02, 0.04, 0.05]]), dtype=np.float64)).data[0]
+    # mean 0.03, variance 2.5e-4: small enough that eps inside the square
+    # root and eps beside it differ by 2%
+    xhat = np.array([-0.02, -0.01, 0.01, 0.02]) / np.sqrt(2.5e-4 + 1e-5)
+    ref = xhat * [1.0, 2.0, 0.5, -1.0] + [0.0, 0.1, -0.2, 0.3]
+    err = np.abs(got - ref).max()
+    _expect(err < 1e-9, f"layernorm {got} != hand value {ref} (max abs diff {err:.2e})")
+
+
 def check_straight_through_contract():
     r = _rng(34)
     z_hat = Tensor(r.normal(size=(2, 4, 2, 2, 2)).astype(np.float32), requires_grad=True)
@@ -404,8 +447,6 @@ def check_straight_through_contract():
 
 def check_softmax_rows():
     cfg = EncoderConfig()
-    from .encoders import SelfAttention
-
     att = SelfAttention(_rng(107), cfg)
     r = _rng(35)
     x = Tensor(r.normal(size=(3, cfg.tokens, cfg.d_tok)).astype(np.float32))
@@ -488,6 +529,7 @@ ALL_CHECKS = [
     ("oracle/quantize-bruteforce", check_oracle_quantize_bruteforce),
     ("oracle/conv3d-naive", check_oracle_conv3d_naive),
     ("oracle/coattention-loops", check_oracle_coattention_loops),
+    ("oracle/selfattention-loops", check_oracle_selfattention_loops),
     ("oracle/auc-pairwise", check_oracle_auc_pairwise),
     ("oracle/focal-hand-value", check_oracle_focal_hand_value),
     ("identity/focal-ce", check_identity_focal_ce),
@@ -495,6 +537,7 @@ ALL_CHECKS = [
     ("identity/total-alpha0", check_identity_total_alpha0),
     ("identity/hybrid-single-weight", check_identity_hybrid_single_weight),
     ("identity/sdm-zero-nonneg", check_identity_sdm_zero_nonneg),
+    ("identity/layernorm-hand-value", check_identity_layernorm_hand_value),
     ("contract/straight-through", check_straight_through_contract),
     ("contract/attention-rows", check_softmax_rows),
     ("format/volume-roundtrip", check_format_volume_roundtrip),

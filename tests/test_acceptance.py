@@ -12,6 +12,8 @@ discriminative direction.  They are kept as written rather than loosened,
 and fail with the measured gap.
 """
 
+import hashlib
+import os
 import time
 
 import numpy as np
@@ -117,6 +119,46 @@ def test_cv_rerun_produces_identical_metrics_bytes(tmp_path):
     b1 = (out1 / "metrics_mmg_tcaf.json").read_bytes()
     b2 = (out2 / "metrics_mmg_tcaf.json").read_bytes()
     assert b1 == b2, "identical seed+config produced different metrics bytes"
+
+
+# sha256 of the `cv --ablation all` tree of _FAST_YAML, cohort included:
+# every file's relative path, then its bytes, in sorted walk order.  Bits
+# of float arithmetic depend on the NumPy and BLAS build, so the digest is
+# keyed to the one it was recorded on.  A change in arithmetic must update
+# it on purpose.
+_REFERENCE_BUILD = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
+_REFERENCE_DIGEST = "19c523219969f3cfbf10ef3cc3bf81d29d7ff6829c56b4208e6514641ad071a3"
+
+
+def _numpy_build():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # NumPy without the structured config
+        return (np.__version__, None, None)
+    return (np.__version__, blas.get("name"), blas.get("version"))
+
+
+def _dir_digest(path):
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(path):
+        dirnames.sort()
+        for name in sorted(filenames):
+            full = os.path.join(dirpath, name)
+            h.update(os.path.relpath(full, path).encode("utf-8"))
+            with open(full, "rb") as f:
+                h.update(f.read())
+    return h.hexdigest()
+
+
+def test_cv_ablation_grid_matches_the_reference_digest(tmp_path):
+    if _numpy_build() != _REFERENCE_BUILD:
+        pytest.skip(f"reference digest recorded on NumPy/BLAS {_REFERENCE_BUILD}, "
+                    f"this is {_numpy_build()}")
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(_FAST_YAML)
+    out = tmp_path / "grid"
+    assert main(["cv", "--config", str(cfg_path), "--out", str(out), "--ablation", "all"]) == 0
+    assert _dir_digest(out) == _REFERENCE_DIGEST
 
 
 def test_stage2_training_leaves_generator_checksums_unchanged(small_subjects):

@@ -169,6 +169,34 @@ def test_sdm_gradient_matches_finite_differences(rng):
     assert err < 1e-5
 
 
+def test_sdm_gradient_reaches_both_arguments(rng):
+    a = Tensor(rng.standard_normal((5, 4)))
+    y = np.array([0, 1, 1, 0, 1])
+    cfg = LossConfig(tau=0.3)
+    b0 = rng.standard_normal((5, 4))
+    err, _, _ = check_grad(lambda t: sdm_loss(a, t, y, cfg), b0)
+    assert err < 1e-5
+    err, _, _ = check_grad(lambda t: sdm_loss(t, t, y, cfg), b0)  # one tensor, both sides
+    assert err < 1e-5
+
+
+def test_saturated_losses_and_gradients_stay_float32():
+    # focal: p_t is exactly 0 in the first row, so the log floor lifts it
+    probs = Tensor(np.array([[1.0, 0.0], [0.3, 0.7]], dtype=np.float32), requires_grad=True)
+    focal = focal_loss(probs, np.array([1, 1]), LossConfig(gamma=2.0))
+    focal.backward()
+    assert focal.dtype == np.float32 and probs.grad.dtype == np.float32
+    # SDM: cosines of +-1 at tau = 1e-3 underflow the off-diagonal softmax
+    # entries (exp(-2000) == 0), so the p*log(p) floor lifts them
+    a = Tensor(np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=np.float32), requires_grad=True)
+    b = Tensor(np.array([[2.0, 0.0], [-1.0, 0.0]], dtype=np.float32), requires_grad=True)
+    sdm = sdm_loss(a, b, np.array([0, 1]), LossConfig(tau=1e-3))
+    sdm.backward()
+    assert sdm.dtype == np.float32 and np.isfinite(sdm.data)
+    for t in (a, b):
+        assert t.grad.dtype == np.float32 and np.isfinite(t.grad).all()
+
+
 def test_triple_loss_mixing():
     assert abs(triple_loss(0.2, 0.4, 0.6, lam=1.0) - 0.3) < 1e-12
     assert abs(triple_loss(0.2, 0.4, 0.6, lam=0.0) - 0.6) < 1e-12

@@ -4,10 +4,12 @@ frozen-generator contract, fold hygiene, and report structure."""
 import dataclasses
 import gc
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from trimodal import autograd
 from trimodal.mmg import MmgConfig, MmgModel
 from trimodal.losses import LossConfig
 from trimodal.nn import Parameter
@@ -54,12 +56,52 @@ def test_adam_skips_missing_gradients():
     assert float(p.data[0]) == 2.0
 
 
+def _adam_per_parameter(named_params, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-parameter Adam loop, as reference for the flat buffers."""
+    m = [np.zeros_like(p.data) for _, p in named_params]
+    v = [np.zeros_like(p.data) for _, p in named_params]
+    for t, step_grads in enumerate(grads, start=1):
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for i, ((_, p), g) in enumerate(zip(named_params, step_grads)):
+            if g is None:
+                continue
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            p.data -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+
+
+def test_flat_adam_matches_per_parameter_loop_bytes(rng):
+    shapes = [(3, 4), (5,), (2, 1, 3)]
+    init = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    grads = [[rng.standard_normal(s).astype(np.float32) for s in shapes] for _ in range(5)]
+    grads[2][1] = None  # a missing gradient keeps its parameter and moments
+    flat = [(f"p{i}", Parameter(x.copy())) for i, x in enumerate(init)]
+    loop = [(f"p{i}", Parameter(x.copy())) for i, x in enumerate(init)]
+    opt = Adam(flat, lr=1e-2)
+    for step_grads in grads:
+        for (_, p), g in zip(flat, step_grads):
+            p.grad = g
+        opt.step()
+    _adam_per_parameter(loop, grads, lr=1e-2)
+    for (_, p), (_, q) in zip(flat, loop):
+        assert p.data.tobytes() == q.data.tobytes()
+
+
 def test_adam_rejects_nan_gradient():
     p = Parameter(np.array([1.0], dtype=np.float32))
     p.grad = np.array([np.nan], dtype=np.float32)
     opt = Adam([("w", p)], lr=0.1)
     with pytest.raises(OptimizerNaNError, match="'w'"):
         opt.step()
+
+
+def test_adam_nan_error_names_the_parameter_among_several():
+    params = [(n, Parameter(np.ones(3, dtype=np.float32))) for n in ("a", "b", "c")]
+    for _, p in params:
+        p.grad = np.ones(3, dtype=np.float32)
+    params[1][1].grad[2] = np.nan
+    with pytest.raises(OptimizerNaNError, match="'b'"):
+        Adam(params, lr=0.1).step()
 
 
 def test_adam_rejects_bad_lr():
@@ -327,3 +369,35 @@ def test_training_leaves_no_cyclic_garbage(small_subjects):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_tape_values_and_gradients_are_float32(small_subjects, monkeypatch):
+    """Both stages compute in float32: every value an op puts on the tape
+    and every gradient backward accumulates, in one epoch of stage 1 and
+    of stage 2 in three modes."""
+    found = set()
+    make, accum = autograd._make, autograd._accum
+
+    def checked_make(data, parents):
+        if data.dtype != np.float32:
+            found.add(("value", str(data.dtype), sys._getframe(1).f_code.co_name))
+        return make(data, parents)
+
+    def checked_accum(t, g, fresh=False):
+        if g.dtype != np.float32:
+            found.add(("gradient", str(g.dtype), sys._getframe(1).f_code.co_name))
+        return accum(t, g, fresh)
+
+    for name, module in list(sys.modules.items()):
+        if name == "trimodal" or name.startswith("trimodal."):
+            if getattr(module, "_make", None) is make:
+                monkeypatch.setattr(module, "_make", checked_make)
+            if getattr(module, "_accum", None) is accum:
+                monkeypatch.setattr(module, "_accum", checked_accum)
+
+    cfg = fast_train_config(epochs_stage1=1, epochs_stage2=1)
+    model, _ = train_mmg(small_subjects, cfg)
+    for mode in ("none", "tcaf_only", "mmg_tcaf"):
+        mode_cfg = cfg.with_mode(mode)
+        train_fusion(small_subjects, mode_cfg, model if mode_cfg.use_mmg else None)
+    assert not found, f"non-float32 tape entries (kind, dtype, op): {sorted(found)}"
