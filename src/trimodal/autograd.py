@@ -38,6 +38,16 @@ _ids = itertools.count()
 _grad_enabled = True
 
 
+# Forward passes under ``no_grad`` over a whole cohort (calibration,
+# imputation, scoring) run this many subjects at a time, so their memory
+# does not grow with the cohort.  The bytes equal a one-batch forward over
+# the cohort, short last chunk included: the conv GEMMs pad their grid to
+# 64 columns, and the dense matmuls take rows in blocks of 4 from the
+# first, so chunks that start at multiples of 4 keep every row's bits
+# (chunk sizes that are not moved the fusion scores by ~1e-7).
+INFERENCE_CHUNK = 64
+
+
 @contextmanager
 def no_grad():
     """Disable graph recording (inference / oracle evaluation)."""
@@ -629,6 +639,16 @@ def _corr(x, kq, offs, cols):
 def _adjoint(g, kq, offs, cols):
     """Adjoint of ``_corr`` for ``g`` whose columns start at offs[-1]."""
     lead = offs[-1]
+    if kq.shape[1] == 1:
+        # One output row makes each shift an outer product.  Broadcast
+        # multiplies form it at a fraction of a K=1 GEMM's cost; summed
+        # from +0, they give the GEMMs' bytes, which hold no -0.
+        x = np.zeros((kq.shape[2], cols), np.result_type(kq, g))
+        part = np.empty_like(x)
+        for kk, off in zip(kq, offs):
+            np.multiply(kk.T, g[:, lead - off:lead - off + cols], out=part)
+            x += part
+        return x
     x = kq[0].T @ g[:, lead:lead + cols]
     part = np.empty_like(x)
     for kk, off in zip(kq[1:], offs[1:]):
@@ -664,16 +684,17 @@ def conv3d(x, kernel, stride=1, padding=0):
     pg = _phase_grid((D, H, W), (kd, kh, kw), stride, padding)
     cols = pg.cols(N)
     xg = pg.to_fine(x.data, cols)
-    y = pg.from_coarse(_corr(xg, pg.kernel(kernel.data), pg.offs, cols), (N, F) + pg.out)
+    kq = pg.kernel(kernel.data)
+    y = pg.from_coarse(_corr(xg, kq, pg.offs, cols), (N, F) + pg.out)
     out = _make(y, (x, kernel))
     if out._parents:
-        def bwd(g, x=x, k=kernel, pg=pg, cols=cols, xg=xg):
+        def bwd(g, x=x, k=kernel, pg=pg, cols=cols, xg=xg, kq=kq):
             gg = pg.to_coarse(g, cols)
             if k.requires_grad:
                 gk = _wgrad(xg, gg[:, pg.lead:], pg.offs, cols)
                 _accum(k, pg.unkernel(gk, k.data.shape), fresh=True)
             if x.requires_grad:
-                gx = _adjoint(gg, pg.kernel(k.data), pg.offs, cols)
+                gx = _adjoint(gg, kq, pg.offs, cols)
                 _accum(x, pg.from_fine(gx, x.data.shape), fresh=True)
         out._backward = bwd
     return out
@@ -703,16 +724,17 @@ def conv_transpose3d(x, kernel, stride=1, padding=0):
     pg = _phase_grid((Do, Ho, Wo), (kd, kh, kw), stride, padding)
     cols = pg.cols(N)
     xg = pg.to_coarse(x.data, cols)
-    y = pg.from_fine(_adjoint(xg, pg.kernel(kernel.data), pg.offs, cols), (N, F, Do, Ho, Wo))
+    kq = pg.kernel(kernel.data)
+    y = pg.from_fine(_adjoint(xg, kq, pg.offs, cols), (N, F, Do, Ho, Wo))
     out = _make(y, (x, kernel))
     if out._parents:
-        def bwd(g, x=x, k=kernel, pg=pg, cols=cols):
+        def bwd(g, x=x, k=kernel, pg=pg, cols=cols, xg=xg, kq=kq):
             gg = pg.to_fine(g, cols)
             if x.requires_grad:
-                gx = _corr(gg, pg.kernel(k.data), pg.offs, cols)
+                gx = _corr(gg, kq, pg.offs, cols)
                 _accum(x, pg.from_coarse(gx, x.data.shape), fresh=True)
             if k.requires_grad:
-                gk = _wgrad(gg, pg.to_coarse(x.data, cols)[:, pg.lead:], pg.offs, cols)
+                gk = _wgrad(gg, xg[:, pg.lead:], pg.offs, cols)
                 _accum(k, pg.unkernel(gk, k.data.shape), fresh=True)
         out._backward = bwd
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, gather_rows, no_grad, straight_through
+from .autograd import INFERENCE_CHUNK, Tensor, gather_rows, no_grad, straight_through
 from .nn import Conv3d, ConvTranspose3d, Module, Parameter
 
 
@@ -175,15 +175,19 @@ class MmgModel(Module):
         return [(n, p) for n, p in self.named_parameters() if not n.startswith(skip)]
 
     def generate_pet(self, mri_batch):
-        """[N,1,D,H,W] MRI -> PET of the same shape; pure inference."""
+        """[N,1,D,H,W] MRI -> PET of the same shape; pure inference, run
+        ``INFERENCE_CHUNK`` volumes at a time."""
         if mri_batch.ndim == 3:
             mri_batch = mri_batch[None, None]
         if mri_batch.shape[2:] != self.volume_shape:
             raise ValueError(f"volume shape {mri_batch.shape[2:]} != configured {self.volume_shape}")
+        out = []
         with no_grad():
-            z_hat = self.encode(Tensor(np.ascontiguousarray(mri_batch, dtype=np.float32)))
-            z_q, _ = quantize(z_hat, self.codebook)
-            return self.calib.apply(self.decode(z_q).data)
+            for lo in range(0, len(mri_batch), INFERENCE_CHUNK):
+                x = np.ascontiguousarray(mri_batch[lo:lo + INFERENCE_CHUNK], dtype=np.float32)
+                z_q, _ = quantize(self.encode(Tensor(x)), self.codebook)
+                out.append(self.calib.apply(self.decode(z_q).data))
+        return np.concatenate(out)
 
 
 class PatchDiscriminator(Module):

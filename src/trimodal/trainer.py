@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .autograd import Tensor, no_grad
+from .autograd import INFERENCE_CHUNK, Tensor, no_grad
 from .checkpoint import load_checkpoint, save_checkpoint, state_checksums
 from .encoders import EncoderConfig, ModalityEncoders, pool_tokens
 from .fusion import ConcatHead, TcafHead
@@ -489,14 +489,21 @@ def _sdm_terms(feats, y, loss_cfg):
 
 
 def evaluate_fusion(bundle: FusionBundle, subjects, mmg_model=None):
-    """Threshold and ranking metrics of the trained model on ``subjects``."""
-    x_mri = np.stack([s.mri for s in subjects])[:, None]
-    x_pet = assemble_pet(subjects, mmg_model)
-    x_clin = bundle.standardizer.transform(clinical_matrix(subjects))
-    labels = np.array([s.label for s in subjects], dtype=np.int64)
+    """Threshold and ranking metrics of the trained model on ``subjects``.
+
+    PET assembly and the forward run ``INFERENCE_CHUNK`` subjects at a
+    time; the scores are pooled before any metric is taken."""
+    scores = []
     with no_grad():
-        _, probs, _ = bundle.model(x_mri, x_pet, x_clin)
-    return threshold_metrics(probs.data[:, 1], labels)
+        for lo in range(0, len(subjects), INFERENCE_CHUNK):
+            chunk = subjects[lo:lo + INFERENCE_CHUNK]
+            x_mri = np.stack([s.mri for s in chunk])[:, None]
+            x_pet = assemble_pet(chunk, mmg_model)
+            x_clin = bundle.standardizer.transform(clinical_matrix(chunk))
+            _, probs, _ = bundle.model(x_mri, x_pet, x_clin)
+            scores.append(probs.data[:, 1])
+    labels = np.array([s.label for s in subjects], dtype=np.int64)
+    return threshold_metrics(np.concatenate(scores), labels)
 
 
 # -- cross-validation ----------------------------------------------------------

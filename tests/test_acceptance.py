@@ -2,8 +2,9 @@
 
 Fast families first (gradients, oracles, identities, determinism,
 formats), then the desk-scale learning runs, which live in module-scoped
-fixtures so each expensive experiment happens exactly once.  Every
-assertion message carries the measured numbers.
+fixtures so each expensive experiment happens exactly once and whose
+tests carry the ``slow`` marker (``pytest -m "not slow"`` leaves them
+out).  Every assertion message carries the measured numbers.
 
 The last two margin tests state a bar this generator does not meet: the
 plain-concat baseline ties the co-attention heads here because, at this
@@ -218,6 +219,7 @@ def ablation_study():
     return {"aucs": aucs, **seed0}
 
 
+@pytest.mark.slow
 def test_generator_beats_mean_predictor_on_held_out_pet(ablation_study):
     train = [s for s in ablation_study["train"] if s.has_pet]
     test = [s for s in ablation_study["test"] if s.has_pet]
@@ -234,6 +236,7 @@ def test_generator_beats_mean_predictor_on_held_out_pet(ablation_study):
         f"mean-predictor baseline {mse_mean:.4f}")
 
 
+@pytest.mark.slow
 def test_default_cohort_cv_clears_auc_and_acc_floors(default_cv_report):
     agg = default_cv_report["aggregate"]
     auc_mean, acc_mean = agg["auc"]["mean"], agg["acc"]["mean"]
@@ -243,6 +246,7 @@ def test_default_cohort_cv_clears_auc_and_acc_floors(default_cv_report):
     assert acc_mean >= 0.80, f"mean ACC {acc_mean:.4f} < 0.80 (folds: {per_fold})"
 
 
+@pytest.mark.slow
 def test_imputing_mode_tracks_zero_fill_mode_within_margin(ablation_study):
     a = ablation_study["aucs"]
     imputed = float(np.mean(a["mmg_tcaf"]))
@@ -253,6 +257,7 @@ def test_imputing_mode_tracks_zero_fill_mode_within_margin(ablation_study):
         f"tcaf_only {zero_fill:.4f} (per-seed {a['mmg_tcaf']} vs {a['tcaf_only']})")
 
 
+@pytest.mark.slow
 def test_tcaf_only_clears_plain_concat_margin(ablation_study):
     a = ablation_study["aucs"]
     tcaf = float(np.mean(a["tcaf_only"]))
@@ -264,6 +269,7 @@ def test_tcaf_only_clears_plain_concat_margin(ablation_study):
         f"scale, so the heads tie (per-seed {a['tcaf_only']} vs {a['none']})")
 
 
+@pytest.mark.slow
 def test_mmg_tcaf_clears_plain_concat_margin(ablation_study):
     a = ablation_study["aucs"]
     both = float(np.mean(a["mmg_tcaf"]))
@@ -275,6 +281,7 @@ def test_mmg_tcaf_clears_plain_concat_margin(ablation_study):
         f"the clinical channel (per-seed {a['mmg_tcaf']} vs {a['none']})")
 
 
+@pytest.mark.slow
 def test_learning_runs_fit_the_time_budget(default_cv_report, ablation_study):
     total = ELAPSED["default_cv"] + ELAPSED["ablation"]
     print(f"learning runs: CV {ELAPSED['default_cv']:.1f}s + "

@@ -15,6 +15,7 @@ import pytest
 
 import trimodal
 
+from trimodal import autograd
 from trimodal.autograd import (Tensor, concat, conv3d, conv_transpose3d,
                                gather_rows, global_avg_pool, matmul, no_grad,
                                softmax, straight_through)
@@ -182,6 +183,44 @@ def test_conv_layers_are_identical_at_one_and_two_blas_threads():
         digests[threads] = json.loads(proc.stdout)
     assert len(digests["1"]) == 3 * 15
     assert digests["1"] == digests["2"]
+
+
+def _adjoint_gemm_loop(g, kq, offs, cols):
+    """``autograd._adjoint`` with one GEMM per shift, whatever the row count."""
+    lead = offs[-1]
+    x = kq[0].T @ g[:, lead:lead + cols]
+    for kk, off in zip(kq[1:], offs[1:]):
+        x += kk.T @ g[:, lead - off:lead - off + cols]
+    return x
+
+
+@pytest.mark.parametrize("batch", [1, 8, 30])
+def test_single_row_adjoint_matches_gemm_loop_bytes(rng, batch):
+    """The discriminator head (32 -> 1 at 4**3) forms its input gradient
+    by broadcast multiplies; they must give the K=1 GEMMs' bytes, signed
+    zeros included."""
+    pg = autograd._phase_grid((4, 4, 4), (4, 4, 4), 2, 1)
+    cols = pg.cols(batch)
+    kq = pg.kernel(rng.standard_normal((1, 32, 4, 4, 4)).astype(np.float32))
+    g = rng.standard_normal((batch, 1) + pg.out).astype(np.float32)
+    g.reshape(-1)[::5] = 0.0
+    g.reshape(-1)[1::5] = -0.0
+    gg = pg.to_coarse(g, cols)
+    assert kq.shape[1] == 1
+    assert autograd._adjoint(gg, kq, pg.offs, cols).tobytes() == \
+        _adjoint_gemm_loop(gg, kq, pg.offs, cols).tobytes()
+
+
+@pytest.mark.parametrize("op, kshape", [(conv3d, (3, 2, 4, 4, 4)), (conv_transpose3d, (2, 3, 4, 4, 4))])
+def test_conv_phases_its_kernel_once_per_forward_and_backward(rng, monkeypatch, op, kshape):
+    """Backward reuses the phased kernel that forward built."""
+    calls = []
+    phase = autograd._PhaseGrid.kernel
+    monkeypatch.setattr(autograd._PhaseGrid, "kernel", lambda pg, k: calls.append(1) or phase(pg, k))
+    x = Tensor(rng.standard_normal((2, 2, 4, 4, 4)).astype(np.float32), requires_grad=True)
+    k = Tensor(rng.standard_normal(kshape).astype(np.float32), requires_grad=True)
+    op(x, k, stride=2, padding=1).sum().backward()
+    assert len(calls) == 1 and x.grad is not None and k.grad is not None
 
 
 # -- gradient checks -----------------------------------------------------------

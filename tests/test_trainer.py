@@ -4,18 +4,25 @@ frozen-generator contract, fold hygiene, and report structure."""
 import dataclasses
 import gc
 import json
+import os
+import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import trimodal
 from trimodal import autograd
+from trimodal.encoders import EncoderConfig
 from trimodal.mmg import MmgConfig, MmgModel
 from trimodal.losses import LossConfig
 from trimodal.nn import Parameter
-from trimodal.synthdata import clinical_matrix, split_kfold
+from trimodal.synthdata import CohortConfig, Standardizer, _draw_subjects, clinical_matrix, split_kfold
 from trimodal.trainer import (
     Adam,
+    FusionBundle,
+    FusionModel,
     Instrument,
     MODES,
     OptimizerNaNError,
@@ -283,6 +290,99 @@ def test_train_fusion_sdm_off_leaves_trajectory_unchanged(
     # focal column identical, sdm columns differ (reporting only)
     assert [r[2] for r in real.history] == [r[2] for r in stubbed.history]
     assert any(r[3] != 0.0 for r in real.history)
+
+
+def test_tail_average_is_the_mean_of_the_last_epochs_weights(small_subjects):
+    """average_last=2 over 3 epochs averages the weights after epochs 2
+    and 3, which the same seeds reach with averaging off."""
+    def weights(epochs, average_last):
+        cfg = fast_train_config(use_mmg=False, epochs_stage2=epochs, average_last=average_last)
+        return train_fusion(small_subjects, cfg, None).model.state_dict()
+
+    w2, w3, averaged = weights(2, 0), weights(3, 0), weights(3, 2)
+    assert averaged.keys() == w3.keys()
+    for k, v in averaged.items():
+        want = ((w2[k].astype(np.float64) + w3[k]) / 2).astype(np.float32)
+        assert v.tobytes() == want.tobytes(), k
+
+
+# Scores 2*64+3 subjects through the chunked generate_pet and
+# evaluate_fusion and through one-batch forwards kept here, in both heads;
+# prints the sha256 of each array as one JSON object.
+_CHUNKED_VS_ONE_BATCH = """
+import hashlib, json
+import numpy as np
+from trimodal import trainer
+from trimodal.autograd import INFERENCE_CHUNK, Tensor, no_grad
+from trimodal.encoders import EncoderConfig
+from trimodal.losses import LossConfig
+from trimodal.mmg import MmgConfig, MmgModel, quantize
+from trimodal.synthdata import CohortConfig, Standardizer, _draw_subjects, clinical_matrix
+
+subjects = _draw_subjects(CohortConfig(n_subjects=2 * INFERENCE_CHUNK + 3, missing_pet_rate=0.5, seed=7))
+rng = np.random.default_rng(0)
+mmg = MmgModel(rng, MmgConfig())
+mmg.calib.affine.data[:] = (0.1, 1.3, 0.2)
+mri = np.stack([s.mri for s in subjects])[:, None]
+clin = clinical_matrix(subjects)
+labels = np.array([s.label for s in subjects])
+with no_grad():
+    z_q, _ = quantize(mmg.encode(Tensor(mri)), mmg.codebook)
+    gen = mmg.calib.apply(mmg.decode(z_q).data)
+pet = np.stack([s.pet if s.has_pet else
+                gen[i, 0] + 0.2 * trainer._imputation_noise(s.mri, s.mri.shape)
+                for i, s in enumerate(subjects)])[:, None]
+digest = lambda a: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+out = {"generate_pet/chunked": digest(mmg.generate_pet(mri)), "generate_pet/one_batch": digest(gen)}
+scored = []
+trainer.threshold_metrics = lambda p, y: scored.append(p.copy()) or {}
+for use_tcaf in (False, True):
+    bundle = trainer.FusionBundle(trainer.FusionModel(rng, EncoderConfig(), use_tcaf=use_tcaf),
+                                  Standardizer().fit(clin), LossConfig(), [])
+    trainer.evaluate_fusion(bundle, subjects, mmg)
+    with no_grad():
+        _, probs, _ = bundle.model(mri, pet, bundle.standardizer.transform(clin))
+    out[f"tcaf={use_tcaf}/chunked"] = digest(scored.pop())
+    out[f"tcaf={use_tcaf}/one_batch"] = digest(probs.data[:, 1])
+print(json.dumps(out))
+"""
+
+
+def test_chunked_scoring_matches_one_batch_bytes_at_one_and_two_blas_threads():
+    """Imputation and scoring in chunks give the bytes of one batch over
+    the whole cohort, short last chunk included, at either thread count."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trimodal.__file__)))
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _CHUNKED_VS_ONE_BATCH], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests[threads] = d = json.loads(proc.stdout)
+        for what in ("generate_pet", "tcaf=False", "tcaf=True"):
+            assert d[f"{what}/chunked"] == d[f"{what}/one_batch"], (threads, what)
+    assert digests["1"] == digests["2"]
+
+
+def test_evaluate_fusion_peak_memory_does_not_grow_with_the_cohort():
+    subjects = _draw_subjects(CohortConfig(n_subjects=256, volume_shape=(8, 8, 8),
+                                           missing_pet_rate=0.5, seed=3))
+    rng = np.random.default_rng(0)
+    generator = _toy_generator(rng, residual_sd=0.3)
+    bundle = FusionBundle(FusionModel(rng, EncoderConfig()),
+                          Standardizer().fit(clinical_matrix(subjects)), LossConfig(), [])
+    evaluate_fusion(bundle, subjects[:8], generator)  # fill the conv geometry caches
+
+    def peak(cohort):
+        tracemalloc.start()
+        try:
+            evaluate_fusion(bundle, cohort, generator)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(subjects[:64]), peak(subjects)
+    assert large < 1.5 * small, f"peak {large} B on 256 subjects vs {small} B on 64"
 
 
 def test_evaluate_fusion_metric_row(small_subjects):
