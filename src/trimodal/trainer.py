@@ -43,12 +43,6 @@ class Instrument:
     def record(self, key, value):
         self.events.setdefault(key, []).append(value)
 
-    def all_ids(self, key):
-        out = []
-        for batch in self.events.get(key, []):
-            out.extend(batch)
-        return out
-
 
 class OptimizerNaNError(RuntimeError):
     """A parameter produced a NaN gradient; training cannot continue."""
@@ -58,9 +52,10 @@ class Adam:
     """Bias-corrected Adam over a list of (name, Parameter) pairs.
 
     The moments of all parameters live in one flat buffer each, so a step
-    is a handful of whole-buffer operations instead of a loop of them; the
-    per-element arithmetic is the per-parameter update's, bit for bit.  A
-    parameter whose ``grad`` is None keeps its data and its moments.
+    is a handful of in-place whole-buffer operations instead of a loop of
+    them; the per-element arithmetic is the per-parameter update's, bit
+    for bit.  A parameter whose ``grad`` is None keeps its data and its
+    moments.
     """
 
     def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -78,6 +73,9 @@ class Adam:
         dtype = self.named_params[0][1].data.dtype if self.named_params else np.float32
         self.m = np.zeros(lo, dtype)
         self.v = np.zeros(lo, dtype)
+        # the gathered gradient (reused for the update) and one scratch buffer
+        self._g = np.empty(lo, dtype)
+        self._tmp = np.empty(lo, dtype)
 
     def zero_grad(self):
         for _, p in self.named_params:
@@ -90,21 +88,39 @@ class Adam:
         c2 = 1.0 - b2 ** self.t
         if not self.spans:
             return
-        g = np.concatenate([np.zeros(hi - lo, self.m.dtype) if p.grad is None else p.grad.reshape(-1)
-                            for _, p, lo, hi in self.spans])
+        g, tmp, m, v = self._g, self._tmp, self.m, self.v
+        kept = []
+        for _, p, lo, hi in self.spans:
+            if p.grad is None:
+                g[lo:hi] = 0
+                kept.append((lo, hi))
+            else:
+                g[lo:hi] = p.grad.reshape(-1)
         if np.isnan(g).any():
             name = next(name for name, _, lo, hi in self.spans if np.isnan(g[lo:hi]).any())
             raise OptimizerNaNError(f"NaN gradient in parameter {name!r} at step {self.t}")
-        m = b1 * self.m + (1.0 - b1) * g
-        v = b2 * self.v + (1.0 - b2) * (g * g)
-        update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        kept = [(lo, hi, m[lo:hi].copy(), v[lo:hi].copy()) for lo, hi in kept]
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+        np.multiply(g, 1.0 - b1, out=tmp)
+        np.multiply(m, b1, out=m)
+        np.add(m, tmp, out=m)
+        np.multiply(g, g, out=tmp)
+        np.multiply(tmp, 1.0 - b2, out=tmp)
+        np.multiply(v, b2, out=v)
+        np.add(v, tmp, out=v)
+        # update = lr * (m / c1) / (sqrt(v / c2) + eps), formed in g
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        np.add(tmp, self.eps, out=tmp)
+        np.divide(m, c1, out=g)
+        np.multiply(g, self.lr, out=g)
+        np.divide(g, tmp, out=g)
+        for lo, hi, m_old, v_old in kept:
+            m[lo:hi] = m_old
+            v[lo:hi] = v_old
         for _, p, lo, hi in self.spans:
-            if p.grad is None:
-                m[lo:hi] = self.m[lo:hi]
-                v[lo:hi] = self.v[lo:hi]
-            else:
-                p.data -= update[lo:hi].reshape(p.data.shape)
-        self.m, self.v = m, v
+            if p.grad is not None:
+                p.data -= g[lo:hi].reshape(p.data.shape)
 
 
 # Ablation modes of the paper's grid -> (use_mmg, use_tcaf).

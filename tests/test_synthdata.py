@@ -1,13 +1,16 @@
 """Cohort generation, on-disk formats, splits, and the planted-signal floor."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from trimodal.synthdata import (MANIFEST_COLUMNS, CohortConfig, Standardizer,
                                 VolumeFormatError, VolumeLengthError,
-                                box_blur3, clinical_matrix,
+                                _draw_subjects, box_blur3, clinical_matrix,
                                 crossmodal_correlation, generate_cohort,
                                 load_cohort, load_manifest, probe_auc,
                                 read_volume, split_kfold, write_volume)
@@ -81,6 +84,37 @@ def test_generation_byte_identical(tmp_path):
         assert (a / f).read_bytes() == (b / f).read_bytes()
 
 
+# sha256 of the generate_cohort tree below: every file's name, then its
+# bytes, in sorted order.  The float32 tanh and exp bits come from the NumPy
+# build, so the digest is keyed to the version it was recorded on.
+_COHORT_NUMPY = "2.4.6"
+_COHORT_DIGEST = "1572375868ddb3da35b5fe4696574ea204b853f4f7b949c8ebc608b1a7bd4970"
+
+
+def test_generation_matches_the_pinned_digest(tmp_path):
+    if np.__version__ != _COHORT_NUMPY:
+        pytest.skip(f"cohort digest recorded on NumPy {_COHORT_NUMPY}, this is {np.__version__}")
+    cfg = CohortConfig(n_subjects=24, volume_shape=(16, 16, 16), missing_pet_rate=0.25, seed=11)
+    generate_cohort(cfg, str(tmp_path))
+    h = hashlib.sha256()
+    for p in sorted(tmp_path.iterdir()):
+        h.update(p.name.encode("utf-8"))
+        h.update(p.read_bytes())
+    assert h.hexdigest() == _COHORT_DIGEST
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.5])
+def test_label_correlated_missing_fills_the_positive_class_first(rate):
+    cfg = CohortConfig(n_subjects=20, volume_shape=(8, 8, 8), missing_pet_rate=rate,
+                       seed=6, label_correlated_missing=True)
+    subjects = _draw_subjects(cfg)
+    missing = [s for s in subjects if not s.has_pet]
+    n_pos = sum(s.label for s in subjects)
+    assert len(missing) == round(20 * rate)
+    # 7 positives: at rate 0.3 all 6 missing are positive, at 0.5 all 7 are
+    assert sum(s.label for s in missing) == min(len(missing), n_pos)
+
+
 def test_label_rule_marks_largest_latents(small_subjects):
     n_pos = round(len(small_subjects) * 0.35)
     by_s = sorted(small_subjects, key=lambda s: s.latent_s, reverse=True)
@@ -128,6 +162,26 @@ def test_clinical_probe_floor(default_cohort):
 
 def test_crossmodal_correlation_floor(default_cohort):
     assert crossmodal_correlation(default_cohort) > 0.5
+
+
+def _window_mean(vol):
+    """The reference blur: the mean over sliding 3x3x3 windows of the edge pad."""
+    p = np.pad(vol, 1, mode="edge")
+    return sliding_window_view(p, (3, 3, 3)).mean(axis=(3, 4, 5)).astype(vol.dtype)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16), (8, 12, 9), (19, 10, 13)])
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_box_blur3_matches_window_mean_bytes(shape, scale):
+    rng = np.random.default_rng(sum(shape))
+    v = (scale * (rng.standard_normal(shape) + 0.5)).astype(np.float32)
+    assert box_blur3(v).tobytes() == _window_mean(v).tobytes()
+
+
+@pytest.mark.parametrize("value", [2.5, -0.0])
+def test_box_blur3_matches_window_mean_bytes_on_constant_fields(value):
+    v = np.full((8, 9, 10), value, dtype=np.float32)
+    assert box_blur3(v).tobytes() == _window_mean(v).tobytes()
 
 
 def test_box_blur3_constant_field():

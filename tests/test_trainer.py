@@ -42,6 +42,11 @@ from trimodal.checkpoint import state_checksums
 from conftest import fast_train_config
 
 
+def _all_ids(inst, key):
+    """Every id an Instrument recorded under ``key``, batches flattened in order."""
+    return [i for batch in inst.events.get(key, []) for i in batch]
+
+
 # -- optimizer -------------------------------------------------------------
 
 
@@ -185,7 +190,7 @@ def test_assemble_pet_imputes_only_missing(small_subjects, rng):
     inst = Instrument()
     out = assemble_pet(small_subjects, model, instrument=inst)
     missing = [s.subject_id for s in small_subjects if not s.has_pet]
-    assert inst.all_ids("imputed_ids") == missing
+    assert _all_ids(inst, "imputed_ids") == missing
     assert len(missing) > 0
     gen_all = model.generate_pet(
         np.stack([s.mri for s in small_subjects])[:, None])
@@ -422,10 +427,10 @@ def test_single_fold_train_events_exclude_test_ids(small_subjects):
     assert list(rows) == list(MODES)
     assert all(row["test_size"] == len(test_ids) for row in rows.values())
     for key in ("standardizer_ids", "mmg_batch", "fusion_batch", "imputed_ids"):
-        seen = set(inst.all_ids(key))
+        seen = set(_all_ids(inst, key))
         assert seen.isdisjoint(test_ids), f"{key} saw held-out subjects"
     # training still saw everything outside the held-out fold
-    assert set(inst.all_ids("standardizer_ids")) == set(ids) - test_ids
+    assert set(_all_ids(inst, "standardizer_ids")) == set(ids) - test_ids
 
 
 def test_run_cv_report_structure_and_artifacts(small_subjects, tmp_path):
