@@ -119,9 +119,6 @@ class Tensor:
         """Same values, severed from the graph (stop-gradient)."""
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 

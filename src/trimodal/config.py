@@ -15,9 +15,6 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .encoders import EncoderConfig
-from .losses import LossConfig
-from .mmg import MmgConfig
 from .synthdata import CohortConfig
 from .trainer import TrainConfig
 
@@ -41,17 +38,24 @@ class RunConfig:
         return self
 
 
-# YAML section name -> (attribute path, dataclass type)
+# YAML section name -> attribute path of its dataclass in a RunConfig
 _SECTIONS = {
-    "cohort": ("cohort", CohortConfig),
-    "train": ("train", TrainConfig),
-    "loss": ("train.loss", LossConfig),
-    "mmg": ("train.mmg", MmgConfig),
-    "encoders": ("train.enc", EncoderConfig),
+    "cohort": "cohort",
+    "train": "train",
+    "loss": "train.loss",
+    "mmg": "train.mmg",
+    "encoders": "train.enc",
 }
 _TOP_KEYS = set(_SECTIONS) | {"ablation", "out_dir"}
 # nested dataclasses get their own sections; ablation flags their own block
 _HIDDEN_FIELDS = {"loss", "mmg", "enc", "use_mmg", "use_tcaf"}
+
+
+def _section(cfg, path):
+    obj = cfg
+    for attr in path.split("."):
+        obj = getattr(obj, attr)
+    return obj
 
 
 def _apply_section(obj, values, section):
@@ -77,15 +81,11 @@ def from_dict(tree):
     if unknown:
         raise ConfigError(f"unknown top-level keys {unknown}; known: {sorted(_TOP_KEYS)}")
     cfg = RunConfig()
-    for section, (path, _) in _SECTIONS.items():
+    for section, path in _SECTIONS.items():
         values = tree.get(section) or {}
         if not isinstance(values, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
-        obj = cfg
-        *parents, leaf = path.split(".")
-        for p in parents:
-            obj = getattr(obj, p)
-        _apply_section(getattr(obj, leaf), values, section)
+        _apply_section(_section(cfg, path), values, section)
     ablation = tree.get("ablation") or {}
     if not isinstance(ablation, dict):
         raise ConfigError("section 'ablation' must be a mapping")
@@ -100,26 +100,15 @@ def from_dict(tree):
 
 def to_dict(cfg: RunConfig):
     """Fully resolved tree (every key explicit), inverse of from_dict."""
-    def section(obj, skip=()):
-        out = {}
-        for f in dataclasses.fields(obj):
-            if f.name in skip:
-                continue
-            v = getattr(obj, f.name)
-            if isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v
-        return out
-
-    return {
-        "cohort": section(cfg.cohort),
-        "train": section(cfg.train, skip=("loss", "mmg", "enc", "use_mmg", "use_tcaf")),
-        "loss": section(cfg.train.loss),
-        "mmg": section(cfg.train.mmg),
-        "encoders": section(cfg.train.enc),
-        "ablation": {"use_mmg": cfg.train.use_mmg, "use_tcaf": cfg.train.use_tcaf},
-        "out_dir": cfg.out_dir,
-    }
+    tree = {}
+    for section, path in _SECTIONS.items():
+        obj = _section(cfg, path)
+        values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                  if f.name not in _HIDDEN_FIELDS}
+        tree[section] = {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+    tree["ablation"] = {"use_mmg": cfg.train.use_mmg, "use_tcaf": cfg.train.use_tcaf}
+    tree["out_dir"] = cfg.out_dir
+    return tree
 
 
 def load_config(path):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .autograd import Tensor, concat, matmul, softmax
+from .autograd import concat, matmul, softmax
 from .nn import Linear, Module
 from .encoders import EncoderConfig, pool_tokens
 
@@ -24,15 +24,15 @@ class CoAttention(Module):
 
     Q = W_q([f1; f2; f3]) from the feature-axis concatenation; each
     modality i has K_i = W_k_i(f_i), V_i = W_v_i(f_i), and the hidden
-    output is softmax(Q K_i^T / sqrt(d_k)) V_i.
+    output is softmax(Q K_i^T / sqrt(d_tok)) V_i, all projections d_tok wide.
     """
 
-    def __init__(self, rng, cfg: EncoderConfig, d_k=None):
+    def __init__(self, rng, cfg: EncoderConfig):
         self.cfg = cfg
-        self.d_k = cfg.d_tok if d_k is None else d_k
-        self.wq = Linear(rng, 3 * cfg.d_tok, self.d_k)
-        self.wk = [Linear(rng, cfg.d_tok, self.d_k) for _ in range(3)]
-        self.wv = [Linear(rng, cfg.d_tok, self.d_k) for _ in range(3)]
+        d = cfg.d_tok
+        self.wq = Linear(rng, 3 * d, d)
+        self.wk = [Linear(rng, d, d) for _ in range(3)]
+        self.wv = [Linear(rng, d, d) for _ in range(3)]
 
     def forward(self, f_mri, f_pet, f_clin, return_weights=False):
         feats = (f_mri, f_pet, f_clin)
@@ -40,7 +40,7 @@ class CoAttention(Module):
         if len(shapes) != 1:
             raise ValueError(f"modality features must share shape, got {sorted(shapes)}")
         q = self.wq(concat(feats, axis=-1))
-        scale = 1.0 / math.sqrt(self.d_k)
+        scale = 1.0 / math.sqrt(self.cfg.d_tok)
         hidden, weights = [], []
         for i, f in enumerate(feats):
             k = self.wk[i](f)
@@ -56,7 +56,7 @@ class CoAttention(Module):
 def cross_concat(f1, f2, f3):
     """Interleave flattened f1/f2 (a1,b1,a2,b2,...), then append f3.
 
-    Inputs [N,t,d_k] (or [N,L]); output [N, 3*t*d_k].
+    Inputs [N,t,d] (or [N,L]); output [N, 3*t*d].
     """
     shapes = {f.data.shape for f in (f1, f2, f3)}
     if len(shapes) != 1:
@@ -90,7 +90,7 @@ class TcafHead(Module):
 
     def __init__(self, rng, cfg: EncoderConfig):
         self.coattn = CoAttention(rng, cfg)
-        self.classifier = Classifier(rng, 3 * cfg.tokens * self.coattn.d_k)
+        self.classifier = Classifier(rng, 3 * cfg.tokens * cfg.d_tok)
 
     def forward(self, f_mri, f_pet, f_clin):
         h1, h2, h3 = self.coattn(f_mri, f_pet, f_clin)

@@ -75,14 +75,14 @@ def auc(scores, true_labels):
     return u2 / (2 * n_pos * n_neg)
 
 
-def threshold_metrics(prob_pos, true_labels, threshold=0.5):
+def threshold_metrics(prob_pos, true_labels):
     """Full metric row from positive-class probabilities.
 
-    Probabilities >= threshold predict the positive class; AUC uses the
-    raw probabilities as scores.
+    Probabilities >= 0.5 predict the positive class; AUC uses the raw
+    probabilities as scores.
     """
     p = np.asarray(prob_pos, dtype=np.float64)
-    pred = (p >= threshold).astype(np.int64)
+    pred = (p >= 0.5).astype(np.int64)
     acc, sen, spe, f1, counts = confusion_metrics(pred, true_labels)
     return {
         "acc": acc, "sen": sen, "spe": spe, "f1": f1,

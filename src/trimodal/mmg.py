@@ -177,8 +177,6 @@ class MmgModel(Module):
     def generate_pet(self, mri_batch):
         """[N,1,D,H,W] MRI -> PET of the same shape; pure inference, run
         ``INFERENCE_CHUNK`` volumes at a time."""
-        if mri_batch.ndim == 3:
-            mri_batch = mri_batch[None, None]
         if mri_batch.shape[2:] != self.volume_shape:
             raise ValueError(f"volume shape {mri_batch.shape[2:]} != configured {self.volume_shape}")
         out = []

@@ -55,10 +55,6 @@ class Module:
                         out.append((f"{full}.{i}", item))
         return out
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
     def state_dict(self):
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
@@ -87,52 +83,42 @@ class Module:
 class Linear(Module):
     """Dense map y = x W + b (W stored [in, out])."""
 
-    def __init__(self, rng, in_features, out_features, bias=True):
+    def __init__(self, rng, in_features, out_features):
         self.weight = Parameter(kaiming_uniform(rng, (in_features, out_features), in_features))
-        self.bias = Parameter(bias_uniform(rng, out_features, in_features)) if bias else None
+        self.bias = Parameter(bias_uniform(rng, out_features, in_features))
 
     def forward(self, x):
-        if x.ndim == 1:
-            y = matmul(x.reshape(1, -1), self.weight).reshape(-1)
-        else:
-            y = matmul(x, self.weight)
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return matmul(x, self.weight) + self.bias
 
 
 class Conv3d(Module):
     """3-d convolution layer, kernel [out_ch, in_ch, k, k, k]."""
 
-    def __init__(self, rng, in_ch, out_ch, k, stride=1, padding=0, bias=True):
+    def __init__(self, rng, in_ch, out_ch, k, stride=1, padding=0):
         fan_in = in_ch * k ** 3
         self.weight = Parameter(kaiming_uniform(rng, (out_ch, in_ch, k, k, k), fan_in))
-        self.bias = Parameter(bias_uniform(rng, out_ch, fan_in)) if bias else None
+        self.bias = Parameter(bias_uniform(rng, out_ch, fan_in))
         self.stride = stride
         self.padding = padding
 
     def forward(self, x):
         y = conv3d(x, self.weight, stride=self.stride, padding=self.padding)
-        if self.bias is not None:
-            y = y + self.bias.reshape(1, -1, 1, 1, 1)
-        return y
+        return y + self.bias.reshape(1, -1, 1, 1, 1)
 
 
 class ConvTranspose3d(Module):
     """Transposed 3-d convolution layer, kernel [in_ch, out_ch, k, k, k]."""
 
-    def __init__(self, rng, in_ch, out_ch, k, stride=1, padding=0, bias=True):
+    def __init__(self, rng, in_ch, out_ch, k, stride=1, padding=0):
         fan_in = in_ch * k ** 3
         self.weight = Parameter(kaiming_uniform(rng, (in_ch, out_ch, k, k, k), fan_in))
-        self.bias = Parameter(bias_uniform(rng, out_ch, fan_in)) if bias else None
+        self.bias = Parameter(bias_uniform(rng, out_ch, fan_in))
         self.stride = stride
         self.padding = padding
 
     def forward(self, x):
         y = conv_transpose3d(x, self.weight, stride=self.stride, padding=self.padding)
-        if self.bias is not None:
-            y = y + self.bias.reshape(1, -1, 1, 1, 1)
-        return y
+        return y + self.bias.reshape(1, -1, 1, 1, 1)
 
 
 class LayerNorm(Module):

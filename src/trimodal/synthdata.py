@@ -26,7 +26,7 @@ import functools
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -34,16 +34,6 @@ from .nn import Module
 from .synthdata import Standardizer, clinical_matrix, split_kfold
 
 
-class Instrument:
-    """Event recorder for leakage audits: which ids hit which train step."""
-
-    def __init__(self):
-        self.events = {}
-
-    def record(self, key, value):
-        self.events.setdefault(key, []).append(value)
-
-
 class OptimizerNaNError(RuntimeError):
     """A parameter produced a NaN gradient; training cannot continue."""
 
@@ -197,8 +187,7 @@ def _fmt_row(values):
 # -- stage 1 -------------------------------------------------------------------
 
 
-def train_mmg(subjects, cfg: TrainConfig, *, seed_seq=None, out_dir=None,
-              instrument=None, config_hash=""):
+def train_mmg(subjects, cfg: TrainConfig, *, seed_seq=None, out_dir=None, config_hash=""):
     """Fit the PET generator on PET-complete subjects; returns (model, history).
 
     History rows are per-epoch means: (epoch, l1, qua, per, adv, total).
@@ -215,7 +204,6 @@ def train_mmg(subjects, cfg: TrainConfig, *, seed_seq=None, out_dir=None,
     model = MmgModel(_rng(ss_init), cfg.mmg, volume_shape=shape)
     x_all = np.stack([s.mri for s in complete])[:, None]
     y_all = np.stack([s.pet for s in complete])[:, None]
-    ids = [s.subject_id for s in complete]
 
     opt_gen = Adam(model.generator_parameters(), cfg.lr)
     opt_disc = Adam([(n, p) for n, p in model.named_parameters() if n.startswith("disc.")],
@@ -230,8 +218,6 @@ def train_mmg(subjects, cfg: TrainConfig, *, seed_seq=None, out_dir=None,
         n_batches = 0
         pool = None
         for idx in _batches(len(complete), cfg.batch_size, shuffle_rng):
-            if instrument is not None:
-                instrument.record("mmg_batch", [ids[i] for i in idx])
             x = Tensor(x_all[idx])
             y_true = Tensor(y_all[idx])
 
@@ -338,7 +324,7 @@ def _imputation_noise(mri, shape):
     return rng.standard_normal(shape, dtype=np.float32)
 
 
-def assemble_pet(subjects, mmg_model=None, instrument=None):
+def assemble_pet(subjects, mmg_model=None):
     """[n,1,D,H,W] PET batch: real volumes where present, otherwise
     generated from MRI (or zero-filled when no generator is given).
 
@@ -360,13 +346,11 @@ def assemble_pet(subjects, mmg_model=None, instrument=None):
             out[i] = gen[j]
             if resid > 0.0:
                 out[i, 0] += resid * _imputation_noise(subjects[i].mri, shape)
-    if instrument is not None:
-        instrument.record("imputed_ids", [subjects[i].subject_id for i in missing_idx])
     return out
 
 
 def train_fusion(subjects, cfg: TrainConfig, mmg_model=None, *, seed_seq=None,
-                 out_dir=None, instrument=None, config_hash=""):
+                 out_dir=None, config_hash=""):
     """Train encoders + fusion + classifier; returns a FusionBundle.
 
     ``mmg_model`` (frozen) fills missing PET volumes; without it they are
@@ -379,15 +363,12 @@ def train_fusion(subjects, cfg: TrainConfig, mmg_model=None, *, seed_seq=None,
         seed_seq = np.random.SeedSequence(cfg.seed)
     ss_init, ss_shuffle = seed_seq.spawn(2)
 
-    ids = [s.subject_id for s in subjects]
     labels = np.array([s.label for s in subjects], dtype=np.int64)
     standardizer = Standardizer().fit(clinical_matrix(subjects))
     frozen = None if mmg_model is None else state_checksums(mmg_model.state_dict())
-    if instrument is not None:
-        instrument.record("standardizer_ids", list(ids))
 
     x_mri = np.stack([s.mri for s in subjects])[:, None]
-    x_pet = assemble_pet(subjects, mmg_model, instrument=instrument)
+    x_pet = assemble_pet(subjects, mmg_model)
     x_clin = standardizer.transform(clinical_matrix(subjects))
 
     model = FusionModel(_rng(ss_init), cfg.enc, use_tcaf=cfg.use_tcaf)
@@ -406,8 +387,6 @@ def train_fusion(subjects, cfg: TrainConfig, mmg_model=None, *, seed_seq=None,
         sums = np.zeros(5)
         n_batches = 0
         for idx in _batches(len(subjects), cfg.batch_size, shuffle_rng):
-            if instrument is not None:
-                instrument.record("fusion_batch", [ids[i] for i in idx])
             y = labels[idx]
             logits, probs, feats = model(x_mri[idx], x_pet[idx], x_clin[idx])
             l_focal = focal_loss(probs, y, loss_cfg)
@@ -449,13 +428,8 @@ def train_fusion(subjects, cfg: TrainConfig, mmg_model=None, *, seed_seq=None,
         model.load_state_dict(
             {k: (v / tail_count).astype(np.float32) for k, v in tail_sums.items()})
 
-    if mmg_model is not None:
-        after = state_checksums(mmg_model.state_dict())
-        if instrument is not None:
-            instrument.record("mmg_checksums_before", frozen)
-            instrument.record("mmg_checksums_after", after)
-        if after != frozen:
-            raise RuntimeError("stage 2 modified the frozen generator's weights")
+    if mmg_model is not None and state_checksums(mmg_model.state_dict()) != frozen:
+        raise RuntimeError("stage 2 modified the frozen generator's weights")
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -534,8 +508,7 @@ def _fold_seed(cfg, fold_index, stage):
     return np.random.SeedSequence(cfg.seed, spawn_key=(fold_index, stage))
 
 
-def run_cv_fold(subjects, cfg: TrainConfig, mode_hashes, fold_index, out_dir=None,
-                instrument=None):
+def run_cv_fold(subjects, cfg: TrainConfig, mode_hashes, fold_index, out_dir=None):
     """Train and evaluate one fold in every mode of ``mode_hashes`` (mode ->
     config hash); returns {mode: fold row}.  The unit of --parallel-folds work.
 
@@ -561,12 +534,12 @@ def run_cv_fold(subjects, cfg: TrainConfig, mode_hashes, fold_index, out_dir=Non
         if mode_cfg.use_mmg and mmg_model is None:
             mmg_model, _ = train_mmg(
                 train_subjects, mode_cfg, seed_seq=_fold_seed(cfg, fold_index, 0),
-                out_dir=fold_dir, instrument=instrument, config_hash=chash)
+                out_dir=fold_dir, config_hash=chash)
         generator = mmg_model if mode_cfg.use_mmg else None
         bundle = train_fusion(
             train_subjects, mode_cfg, generator, seed_seq=_fold_seed(cfg, fold_index, 1),
             out_dir=None if fold_dir is None else os.path.join(fold_dir, mode),
-            instrument=instrument, config_hash=chash)
+            config_hash=chash)
         m = evaluate_fusion(bundle, test_subjects, generator)
         rows[mode] = {"fold": fold_index, "test_size": len(test_subjects),
                       **{k: m[k] for k in METRIC_KEYS},
@@ -574,8 +547,7 @@ def run_cv_fold(subjects, cfg: TrainConfig, mode_hashes, fold_index, out_dir=Non
     return rows
 
 
-def run_cv_modes(subjects, cfg: TrainConfig, mode_hashes, *, out_dir=None,
-                 instrument=None, processes=1):
+def run_cv_modes(subjects, cfg: TrainConfig, mode_hashes, *, out_dir=None, processes=1):
     """Stratified k-fold CV of the two-stage pipeline in every mode of
     ``mode_hashes`` (mode -> config hash); returns {mode: report dict}.
 
@@ -588,9 +560,7 @@ def run_cv_modes(subjects, cfg: TrainConfig, mode_hashes, *, out_dir=None,
     each mode's stage-2 files.
     """
     cfg.validate()
-    if processes > 1 and instrument is not None:
-        raise ValueError("an Instrument records only in-process folds; use processes=1")
-    jobs = [(subjects, cfg, mode_hashes, i, out_dir, instrument) for i in range(cfg.k_folds)]
+    jobs = [(subjects, cfg, mode_hashes, i, out_dir) for i in range(cfg.k_folds)]
     if processes > 1:
         import multiprocessing as mp
 
@@ -616,12 +586,10 @@ def run_cv_modes(subjects, cfg: TrainConfig, mode_hashes, *, out_dir=None,
     return reports
 
 
-def run_cv(subjects, cfg: TrainConfig, *, out_dir=None, instrument=None,
-           config_hash=""):
+def run_cv(subjects, cfg: TrainConfig, *, out_dir=None, config_hash=""):
     """``run_cv_modes`` in the single mode ``cfg`` selects; returns its report."""
     mode = cfg.mode()
-    return run_cv_modes(subjects, cfg, {mode: config_hash}, out_dir=out_dir,
-                        instrument=instrument)[mode]
+    return run_cv_modes(subjects, cfg, {mode: config_hash}, out_dir=out_dir)[mode]
 
 
 def write_report(report, path):

@@ -24,9 +24,9 @@ from .losses import LossConfig
 from .nn import LayerNorm, Linear, Parameter
 from .trainer import Adam
 
-PRIMITIVE_TOL = 1e-3
-COMPOSITE_TOL = 1e-2
-EPS = 1e-3
+PRIMITIVE_TOL = 1e-6
+COMPOSITE_TOL = 1e-5
+EPS = 1e-5
 
 
 class CheckFailure(AssertionError):
@@ -83,16 +83,19 @@ def check_grad_matmul():
     r = _rng(15)
     a = r.normal(size=(2, 3, 4))
     b = r.normal(size=(4, 5))
-    _expect_grad(lambda t: matmul(t, Tensor(b)).square().sum(), a, PRIMITIVE_TOL)
-    _expect_grad(lambda t: matmul(Tensor(a), t).square().sum(), b, PRIMITIVE_TOL)
+    bb = r.normal(size=(2, 4, 5))  # batched right-hand side
+    for rhs in (b, bb):
+        _expect_grad(lambda t: matmul(t, Tensor(rhs)).square().sum(), a, PRIMITIVE_TOL)
+        _expect_grad(lambda t: matmul(Tensor(a), t).square().sum(), rhs, PRIMITIVE_TOL)
 
 
 def check_grad_shape_ops():
     r = _rng(16)
     a = r.normal(size=(2, 3, 4))
+    c = Tensor(r.normal(size=(12, 1)), dtype=np.float64)  # a constant concat operand
     def build(t):
         u = t.reshape(2, 12).transpose((1, 0))
-        v = concat([u, u * 2.0], axis=1)
+        v = concat([u, c, u * 2.0], axis=1)
         return (v[2:8] * v[2:8]).sum()
     _expect_grad(build, a, PRIMITIVE_TOL)
 
@@ -108,10 +111,12 @@ def check_grad_conv3d():
     r = _rng(18)
     x = r.normal(size=(2, 2, 6, 6, 6))
     k = r.normal(size=(3, 2, 3, 3, 3))
-    _expect_grad(lambda t: conv3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1).square().sum(),
-                 x, PRIMITIVE_TOL, rng=_rng(0), sample=24)
-    _expect_grad(lambda t: conv3d(Tensor(x, dtype=np.float64), t, stride=2, padding=1).square().sum(),
-                 k, PRIMITIVE_TOL, rng=_rng(1), sample=24)
+    x_odd = r.normal(size=(1, 2, 5, 5, 5))  # stride 2 leaves an edge row unread
+    for seed, vol in ((0, x), (4, x_odd)):
+        _expect_grad(lambda t: conv3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1).square().sum(),
+                     vol, PRIMITIVE_TOL, rng=_rng(seed), sample=24)
+        _expect_grad(lambda t: conv3d(Tensor(vol, dtype=np.float64), t, stride=2, padding=1).square().sum(),
+                     k, PRIMITIVE_TOL, rng=_rng(seed + 1), sample=24)
 
 
 def check_grad_conv_transpose3d():
@@ -139,13 +144,23 @@ def check_grad_gather_rows():
 
 
 def check_grad_layernorm_linear():
+    """The loss is weighted by a fixed random w: with gamma = 1 and beta = 0
+    each row of ln(.)**2 sums to about 5 whatever the input, so a squared
+    loss would have a near-zero gradient.  gamma and beta are checked by
+    passing a float64 tensor in place of each parameter."""
     r = _rng(22)
     x = r.normal(size=(3, 7))
-    lin = Linear(_rng(100), 7, 5)
-    ln = LayerNorm(5)
-    lin.to_dtype(np.float64)
-    ln.to_dtype(np.float64)
-    _expect_grad(lambda t: ln(lin(t)).square().sum(), x, PRIMITIVE_TOL)
+    w = Tensor(r.normal(size=(3, 5)), dtype=np.float64)
+    lin = Linear(_rng(100), 7, 5).to_dtype(np.float64)
+    ln = LayerNorm(5).to_dtype(np.float64)
+    _expect_grad(lambda t: (ln(lin(t)) * w).sum(), x, PRIMITIVE_TOL)
+    h = lin(Tensor(x, dtype=np.float64)).detach()
+    for name in ("gamma", "beta"):
+        def build(t, name=name):
+            norm = LayerNorm(5).to_dtype(np.float64)
+            setattr(norm, name, t)
+            return (norm(h) * w).sum()
+        _expect_grad(build, getattr(ln, name).data, PRIMITIVE_TOL)
 
 
 # -- gradient checks: composite paths --------------------------------------------
@@ -288,7 +303,7 @@ def check_oracle_conv3d_naive():
 
 def check_oracle_coattention_loops():
     cfg = EncoderConfig(tokens=5, d_tok=6, heads=2, d_attn=16)
-    co = CoAttention(_rng(105), cfg, d_k=6)
+    co = CoAttention(_rng(105), cfg)
     r = _rng(29)
     feats = [Tensor(r.normal(size=(2, 5, 6)).astype(np.float32)) for _ in range(3)]
     hidden = co(*feats)

@@ -25,7 +25,7 @@ def test_coattention_matches_explicit_loop(rng):
     # recompute with nothing but numpy and the module's own weights
     f_cat = np.concatenate([f.data for f in feats], axis=-1)
     q = f_cat @ mod.wq.weight.data + mod.wq.bias.data
-    scale = 1.0 / np.sqrt(mod.d_k)
+    scale = 1.0 / np.sqrt(cfg.d_tok)
     for i, f in enumerate(feats):
         k = f.data @ mod.wk[i].weight.data + mod.wk[i].bias.data
         v = f.data @ mod.wv[i].weight.data + mod.wv[i].bias.data

@@ -23,7 +23,6 @@ from trimodal.trainer import (
     Adam,
     FusionBundle,
     FusionModel,
-    Instrument,
     MODES,
     OptimizerNaNError,
     TrainConfig,
@@ -40,11 +39,6 @@ from trimodal.trainer import (
 from trimodal.checkpoint import state_checksums
 
 from conftest import fast_train_config
-
-
-def _all_ids(inst, key):
-    """Every id an Instrument recorded under ``key``, batches flattened in order."""
-    return [i for batch in inst.events.get(key, []) for i in batch]
 
 
 # -- optimizer -------------------------------------------------------------
@@ -185,13 +179,16 @@ def test_assemble_pet_zero_fills_without_generator(small_subjects):
             assert not out[i].any()
 
 
-def test_assemble_pet_imputes_only_missing(small_subjects, rng):
+def test_assemble_pet_imputes_only_missing(small_subjects, rng, monkeypatch):
     model = _toy_generator(rng)
-    inst = Instrument()
-    out = assemble_pet(small_subjects, model, instrument=inst)
-    missing = [s.subject_id for s in small_subjects if not s.has_pet]
-    assert _all_ids(inst, "imputed_ids") == missing
+    inputs = []
+    generate = model.generate_pet
+    monkeypatch.setattr(model, "generate_pet", lambda batch: inputs.append(batch) or generate(batch))
+    out = assemble_pet(small_subjects, model)
+    missing = [s for s in small_subjects if not s.has_pet]
     assert len(missing) > 0
+    assert len(inputs) == 1
+    np.testing.assert_array_equal(inputs[0], np.stack([s.mri for s in missing])[:, None])
     gen_all = model.generate_pet(
         np.stack([s.mri for s in small_subjects])[:, None])
     for i, s in enumerate(small_subjects):
@@ -255,19 +252,17 @@ def test_train_mmg_is_deterministic(small_subjects):
 def test_train_fusion_never_touches_generator(small_subjects, rng):
     model = _toy_generator(rng)
     before = state_checksums(model.state_dict())
-    inst = Instrument()
-    train_fusion(small_subjects, fast_train_config(), model, instrument=inst)
+    train_fusion(small_subjects, fast_train_config(), model)
     assert state_checksums(model.state_dict()) == before
-    assert inst.events["mmg_checksums_before"] == inst.events["mmg_checksums_after"]
 
 
 def test_train_fusion_refuses_a_modified_generator(small_subjects, rng, monkeypatch):
     model = _toy_generator(rng)
     real_assemble = assemble_pet
 
-    def tampering_assemble(subjects, mmg_model=None, instrument=None):
+    def tampering_assemble(subjects, mmg_model=None):
         mmg_model.codebook.codes.data[0, 0] += 1.0
-        return real_assemble(subjects, mmg_model, instrument=instrument)
+        return real_assemble(subjects, mmg_model)
 
     monkeypatch.setattr("trimodal.trainer.assemble_pet", tampering_assemble)
     with pytest.raises(RuntimeError, match="frozen generator"):
@@ -417,20 +412,29 @@ def test_load_fusion_scores_held_out_subjects_like_the_trained_bundle(small_subj
 # -- cross-validation ------------------------------------------------------
 
 
-def test_single_fold_train_events_exclude_test_ids(small_subjects):
+def test_single_fold_train_events_exclude_test_ids(small_subjects, monkeypatch):
+    """Both stages receive exactly the fold's train split.  Every batch,
+    the standardizer fit and the imputation draw only on that argument,
+    so recording it audits everything training saw."""
+    received = {}
+
+    def recording(stage, fit):
+        def wrapper(subjects, *args, **kwargs):
+            received.setdefault(stage, []).append([s.subject_id for s in subjects])
+            return fit(subjects, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("trimodal.trainer.train_mmg", recording("mmg", train_mmg))
+    monkeypatch.setattr("trimodal.trainer.train_fusion", recording("fusion", train_fusion))
     cfg = fast_train_config()
-    inst = Instrument()
-    rows = run_cv_fold(small_subjects, cfg, {m: "" for m in MODES}, 0, instrument=inst)
+    rows = run_cv_fold(small_subjects, cfg, {m: "" for m in MODES}, 0)
     ids = [s.subject_id for s in small_subjects]
     labels = [s.label for s in small_subjects]
     test_ids = set(split_kfold(ids, cfg.k_folds, cfg.seed, labels=labels)[0])
+    train_ids = [i for i in ids if i not in test_ids]
     assert list(rows) == list(MODES)
     assert all(row["test_size"] == len(test_ids) for row in rows.values())
-    for key in ("standardizer_ids", "mmg_batch", "fusion_batch", "imputed_ids"):
-        seen = set(_all_ids(inst, key))
-        assert seen.isdisjoint(test_ids), f"{key} saw held-out subjects"
-    # training still saw everything outside the held-out fold
-    assert set(_all_ids(inst, "standardizer_ids")) == set(ids) - test_ids
+    assert received == {"mmg": [train_ids], "fusion": [train_ids] * len(MODES)}
 
 
 def test_run_cv_report_structure_and_artifacts(small_subjects, tmp_path):
