@@ -17,7 +17,8 @@ import trimodal
 
 from trimodal import autograd
 from trimodal.autograd import (Tensor, concat, conv3d, conv_transpose3d,
-                               gather_rows, matmul, no_grad, straight_through)
+                               gather_rows, global_avg_pool, matmul, no_grad,
+                               softmax, straight_through)
 from trimodal.gradcheck import check_grad, rel_error
 
 TOL = 1e-6
@@ -223,15 +224,19 @@ def test_conv_phases_its_kernel_once_per_forward_and_backward(rng, monkeypatch, 
 
 
 # -- gradient checks -----------------------------------------------------------
-# softmax, pooling, gather_rows and the batched matmul are checked by the
-# verify registry's grad/ family alone, which
-# test_acceptance.py::test_gradient_suite_passes_within_two_minutes runs.
 
 
 def test_grad_matmul(rng):
     a0 = rng.standard_normal((3, 4))
     b = Tensor(rng.standard_normal((4, 5)), dtype=np.float64)
     err, _, _ = check_grad(lambda t: matmul(t, b).sum(), a0)
+    assert err < TOL
+
+
+def test_grad_matmul_batched(rng):
+    a0 = rng.standard_normal((2, 3, 4))
+    b = Tensor(rng.standard_normal((2, 4, 5)), dtype=np.float64)
+    err, _, _ = check_grad(lambda t: (matmul(t, b) * matmul(t, b)).sum(), a0)
     assert err < TOL
 
 
@@ -259,6 +264,13 @@ def test_grad_reductions(rng):
     x0 = rng.standard_normal((3, 4, 2))
     err, _, _ = check_grad(
         lambda t: (t.mean(axis=1, keepdims=True) * t.sum(axis=(0, 2), keepdims=True)).sum(), x0)
+    assert err < TOL
+
+
+def test_grad_softmax(rng):
+    x0 = rng.standard_normal((3, 5))
+    w = Tensor(rng.standard_normal((3, 5)), dtype=np.float64)
+    err, _, _ = check_grad(lambda t: (softmax(t, axis=-1) * w).sum(), x0)
     assert err < TOL
 
 
@@ -295,6 +307,19 @@ def test_grad_conv_transpose3d(rng):
     x = Tensor(x0, dtype=np.float64)
     err, _, _ = check_grad(lambda t: conv_transpose3d(x, t, stride=2, padding=1).square().sum(),
                            k0, sample=40, rng=rng)
+    assert err < TOL
+
+
+def test_grad_pooling(rng):
+    x0 = rng.standard_normal((1, 2, 4, 4, 4))
+    err, _, _ = check_grad(lambda t: global_avg_pool(t).square().sum(), x0)
+    assert err < TOL
+
+
+def test_grad_gather_rows(rng):
+    table0 = rng.standard_normal((6, 3))
+    idx = np.array([0, 2, 2, 5])
+    err, _, _ = check_grad(lambda t: gather_rows(t, idx).square().sum(), table0)
     assert err < TOL
 
 

@@ -160,6 +160,15 @@ def test_sdm_input_validation(a, b, y):
         sdm_loss(a, b, np.asarray(y), LossConfig())
 
 
+def test_sdm_gradient_matches_finite_differences(rng):
+    b = Tensor(rng.standard_normal((5, 4)))
+    y = np.array([0, 1, 1, 0, 1])
+    cfg = LossConfig(tau=0.5)
+    a0 = rng.standard_normal((5, 4))
+    err, _, _ = check_grad(lambda t: sdm_loss(t, b, y, cfg), a0)
+    assert err < 1e-5
+
+
 def test_sdm_gradient_reaches_both_arguments(rng):
     a = Tensor(rng.standard_normal((5, 4)))
     y = np.array([0, 1, 1, 0, 1])
