@@ -170,33 +170,15 @@ class Tensor:
 
     __radd__ = __add__
 
+    # x - y == x + (-y) and -x == x * -1 exactly in IEEE arithmetic (±0 too)
     def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            out = _make(self.data - other, (self,))
-            if out._parents:
-                out._backward = lambda g, a=self: _accum(a, _unbroadcast(g, a.data.shape))
-            return out
-        out = _make(self.data - other.data, (self, other))
-        if out._parents:
-            def bwd(g, a=self, b=other):
-                if a.requires_grad:
-                    _accum(a, _unbroadcast(g, a.data.shape))
-                if b.requires_grad:
-                    _accum(b, _unbroadcast(-g, b.data.shape), fresh=True)
-            out._backward = bwd
-        return out
+        return self + (-other)
 
     def __rsub__(self, other):
-        out = _make(other - self.data, (self,))
-        if out._parents:
-            out._backward = lambda g, a=self: _accum(a, _unbroadcast(-g, a.data.shape), fresh=True)
-        return out
+        return (-self) + other
 
     def __neg__(self):
-        out = _make(-self.data, (self,))
-        if out._parents:
-            out._backward = lambda g, a=self: _accum(a, _unbroadcast(-g, a.data.shape), fresh=True)
-        return out
+        return self * -1.0
 
     def __mul__(self, other):
         if not isinstance(other, Tensor):

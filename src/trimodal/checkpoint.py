@@ -67,9 +67,17 @@ def save_checkpoint(path, tensors, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (tensors: dict, meta: dict|None)."""
+    """Read a checkpoint; returns (tensors: dict, meta: dict|None).  A
+    malformed or truncated file raises ``CheckpointError``."""
     with open(path, "rb") as f:
         blob = f.read()
+    try:
+        return _parse(blob)
+    except (struct.error, UnicodeDecodeError) as e:  # a header or a name cut short
+        raise CheckpointError(f"malformed checkpoint: {e}") from None
+
+
+def _parse(blob):
     if blob[:4] != MAGIC:
         raise CheckpointError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
     off = 4
@@ -82,8 +90,6 @@ def load_checkpoint(path):
     tensors = {}
     meta = None
     for _ in range(count):
-        if off + 4 > len(blob):
-            raise CheckpointError("truncated entry header")
         (nlen,) = struct.unpack_from("<I", blob, off)
         off += 4
         name = blob[off:off + nlen].decode("utf-8")

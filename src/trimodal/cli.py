@@ -69,8 +69,6 @@ def build_parser():
 def _load(args):
     cfg = load_config(args.config) if args.config else RunConfig().validate()
     if args.seed is not None:
-        if not (0 <= args.seed < 2 ** 64):
-            raise ConfigError(f"--seed must be u64, got {args.seed}")
         cfg.cohort.seed = args.seed
         cfg.train.seed = args.seed
         cfg.validate()
@@ -79,17 +77,16 @@ def _load(args):
     return cfg
 
 
-def _cohort_dir(args, cfg):
-    return getattr(args, "cohort", None) or os.path.join(cfg.out_dir, "cohort")
-
-
 def _ensure_cohort(args, cfg):
-    """Load the cohort, generating it first when the directory is absent."""
+    """Load ``--cohort``; without it, generate the cohort into OUT/cohort
+    first unless one is already there."""
     from .synthdata import generate_cohort, load_cohort
 
-    cdir = _cohort_dir(args, cfg)
-    if not os.path.exists(os.path.join(cdir, "manifest.csv")):
-        generate_cohort(cfg.cohort, cdir)
+    cdir = args.cohort
+    if cdir is None:
+        cdir = os.path.join(cfg.out_dir, "cohort")
+        if not os.path.exists(os.path.join(cdir, "manifest.csv")):
+            generate_cohort(cfg.cohort, cdir)
     return load_cohort(cdir)
 
 

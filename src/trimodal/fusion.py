@@ -72,10 +72,10 @@ def cross_concat(f1, f2, f3):
 class Classifier(Module):
     """Two dense layers (in -> 64 -> 2) with relu; emits logits and probs."""
 
-    def __init__(self, rng, in_features, hidden=64):
+    def __init__(self, rng, in_features):
         self.in_features = in_features
-        self.fc1 = Linear(rng, in_features, hidden)
-        self.fc2 = Linear(rng, hidden, 2)
+        self.fc1 = Linear(rng, in_features, 64)
+        self.fc2 = Linear(rng, 64, 2)
 
     def forward(self, f_global):
         if f_global.data.ndim != 2 or f_global.data.shape[1] != self.in_features:

@@ -246,13 +246,17 @@ def hybrid_loss(y_true, y_gen, z_hat, disc_scores, w, *, codebook, indices,
     The quantization term is built from ``indices`` (as returned by
     ``quantize``) through a differentiable gather of ``codebook`` rows, so
     its gradient reaches the codebook rather than leaking through the
-    straight-through estimator.
+    straight-through estimator.  Only a nonzero weight needs its term's input.
     Returns (total, components) with components as named python floats.
     """
     w = tuple(float(x) for x in w)
     if len(w) != 4 or any(x < 0 for x in w):
         raise ValueError(f"need four non-negative weights, got {w}")
     w_l1, w_qua, w_per, w_adv = w
+    if w_per != 0.0 and perceptual_net is None:
+        raise ValueError(f"perceptual weight {w_per} needs a perceptual_net")
+    if w_adv != 0.0 and disc_scores is None:
+        raise ValueError(f"adversarial weight {w_adv} needs disc_scores")
     if not isinstance(y_true, Tensor):
         y_true = Tensor(y_true)
     if y_true.data.shape != y_gen.data.shape:
@@ -260,14 +264,9 @@ def hybrid_loss(y_true, y_gen, z_hat, disc_scores, w, *, codebook, indices,
 
     l1 = (y_gen - y_true).abs().mean()
     qua = quantization_loss(z_hat, codebook, indices, beta)
-    if w_per != 0.0 and perceptual_net is not None:
-        per = perceptual_loss(perceptual_net, y_true, y_gen)
-    else:
-        per = Tensor(np.zeros((), dtype=y_gen.data.dtype))
-    if w_adv != 0.0 and disc_scores is not None:
-        adv = adversarial_gen_loss(disc_scores)
-    else:
-        adv = Tensor(np.zeros((), dtype=y_gen.data.dtype))
+    zero = Tensor(np.zeros((), dtype=y_gen.data.dtype))
+    per = perceptual_loss(perceptual_net, y_true, y_gen) if w_per != 0.0 else zero
+    adv = adversarial_gen_loss(disc_scores) if w_adv != 0.0 else zero
 
     total = l1 * w_l1 + qua * w_qua + per * w_per + adv * w_adv
     components = {

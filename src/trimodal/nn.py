@@ -14,10 +14,10 @@ from .autograd import Tensor, _accum, _make, conv3d, conv_transpose3d, matmul
 
 
 class Parameter(Tensor):
-    """Trainable tensor (requires_grad is always on)."""
+    """Trainable tensor, created float32 (requires_grad is always on)."""
 
-    def __init__(self, data, dtype=np.float32):
-        super().__init__(np.asarray(data, dtype=dtype), requires_grad=True)
+    def __init__(self, data):
+        super().__init__(np.asarray(data, dtype=np.float32), requires_grad=True)
 
 
 def kaiming_uniform(rng, shape, fan_in):
@@ -124,10 +124,11 @@ class ConvTranspose3d(Module):
 class LayerNorm(Module):
     """Normalize the last axis to zero mean / unit variance, then affine."""
 
-    def __init__(self, dim, eps=1e-5):
+    eps = 1e-5
+
+    def __init__(self, dim):
         self.gamma = Parameter(np.ones(dim))
         self.beta = Parameter(np.zeros(dim))
-        self.eps = eps
 
     def forward(self, x):
         """One tape node: y = xhat * gamma + beta, xhat = xc / sqrt(var + eps)."""

@@ -419,14 +419,14 @@ def clinical_matrix(subjects):
 # -- planted-signal probes -----------------------------------------------------
 
 
-def logistic_probe(X, y, iters=400, lr=0.5, l2=1e-3):
+def logistic_probe(X, y):
     """Fit a tiny L2-regularized logistic model; returns scores on X.
 
-    Plain full-batch gradient descent from zero init: deterministic, no
-    dependencies, good enough to certify that the planted signal is
-    linearly recoverable.  Columns are standardized internally so the
-    attribute scales (years vs. allele counts) do not dictate the
-    conditioning of the fit.
+    Plain full-batch gradient descent (400 steps of size 0.5, L2 weight
+    1e-3) from zero init: deterministic, no dependencies, good enough to
+    certify that the planted signal is linearly recoverable.  Columns are
+    standardized internally so the attribute scales (years vs. allele
+    counts) do not dictate the conditioning of the fit.
     """
     X = np.asarray(X, dtype=np.float64)
     X = (X - X.mean(axis=0)) / (X.std(axis=0) + 1e-12)
@@ -434,23 +434,22 @@ def logistic_probe(X, y, iters=400, lr=0.5, l2=1e-3):
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
-    for _ in range(iters):
+    for _ in range(400):
         z = np.clip(X @ w + b, -35.0, 35.0)
         p = 1.0 / (1.0 + np.exp(-z))
         g = p - y
-        gw = X.T @ g / n + l2 * w
+        gw = X.T @ g / n + 1e-3 * w
         gb = float(g.mean())
-        w -= lr * gw
-        b -= lr * gb
+        w -= 0.5 * gw
+        b -= 0.5 * gb
     return X @ w + b
 
 
-def probe_auc(X, y, **kw):
+def probe_auc(X, y):
     """In-sample AUC of the logistic probe (learnability floor oracle)."""
     from .metrics import auc
 
-    scores = logistic_probe(X, y, **kw)
-    return auc(scores, y)
+    return auc(logistic_probe(X, y), y)
 
 
 def crossmodal_correlation(subjects):

@@ -337,6 +337,42 @@ def test_getitem_accumulates_repeated_indices():
     assert np.array_equal(x.grad, [2.0, 1.0, 0.0])
 
 
+# -- exact arithmetic ----------------------------------------------------------
+
+SIGNED = np.array([0.0, -0.0, 2.0, -2.0, 1.5, 3e-8, -7.25], dtype=np.float32)
+
+
+def _grads(build, *arrays, w):
+    """Gradients of sum(build(*tensors) * w) with respect to each input."""
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    (build(*ts) * Tensor(w)).sum().backward()
+    return [t.grad for t in ts]
+
+
+def test_subtraction_and_negation_are_exact_in_float32(rng):
+    """Built on add and mul, they give NumPy's bytes (signed zeros
+    included) and gradients of exactly g and -g, also for a broadcast
+    operand and for x - x."""
+    a = np.repeat(SIGNED[:, None], SIGNED.size, axis=1)   # [7, 7]
+    b = SIGNED[None, :]                                   # [1, 7], broadcast
+    pairs = [(Tensor(a) - Tensor(b), a - b), (Tensor(a) - 2.0, a - 2.0),
+             (2.0 - Tensor(a), 2.0 - a), (-Tensor(a), -a)]
+    for got, want in pairs:
+        assert got.dtype == np.float32
+        assert got.data.tobytes() == want.tobytes()
+
+    w = rng.standard_normal(a.shape).astype(np.float32)
+    w[0, 0], w[1, 1] = 0.0, -0.0
+    ga, gb = _grads(lambda x, y: x - y, a, b, w=w)
+    assert ga.tobytes() == w.tobytes()
+    assert gb.tobytes() == (-w).sum(axis=0, keepdims=True).tobytes()
+    for build, want in ((lambda x: x - 2.0, w), (lambda x: 2.0 - x, -w), (lambda x: -x, -w)):
+        (g,) = _grads(build, a, w=w)
+        assert g.tobytes() == want.tobytes()
+    (g,) = _grads(lambda x: x - x, a, w=w)
+    assert g.tobytes() == np.zeros_like(w).tobytes()
+
+
 # -- graph mechanics -----------------------------------------------------------
 
 

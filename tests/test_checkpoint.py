@@ -79,6 +79,18 @@ def test_truncation_rejected(tmp_path, sample_state):
         load_checkpoint(path)
 
 
+def test_every_proper_prefix_is_rejected(tmp_path, rng):
+    """A file cut anywhere, inside a header included, is a CheckpointError."""
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, {"wé": rng.standard_normal((2, 3)).astype(np.float32)},
+                    meta={"seed": 7})
+    blob = path.read_bytes()
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
 def test_trailing_bytes_rejected(tmp_path, sample_state):
     path = tmp_path / "x.ckpt"
     save_checkpoint(path, sample_state)

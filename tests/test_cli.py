@@ -90,6 +90,21 @@ def test_unwritable_out_exits_3(fast_config, tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_u64_exits_2(seed, tmp_path, capsys):
+    assert main(["gen", "--seed", seed, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "u64" in capsys.readouterr().err
+
+
+def test_explicit_cohort_without_manifest_exits_3(fast_config, tmp_path, capsys):
+    absent = tmp_path / "absent"
+    code = main(["train-mmg", "--config", fast_config, "--cohort", str(absent),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_IO
+    assert "manifest.csv" in capsys.readouterr().err
+    assert not absent.exists()
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

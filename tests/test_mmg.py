@@ -126,6 +126,18 @@ def test_hybrid_loss_single_weight_recovers_component(rng, model):
         assert abs(total.item() - comps[names[pos]]) < 1e-5
 
 
+@pytest.mark.parametrize("pos, missing", [(2, "perceptual_net"), (3, "disc_scores")])
+def test_hybrid_loss_rejects_a_weighted_term_without_its_input(rng, model, pos, missing):
+    y_true = Tensor(rng.standard_normal((1, 1, 8, 8, 8)).astype(np.float32))
+    z_hat = model.encode(y_true)
+    z_q, idx = quantize(z_hat, model.codebook)
+    y_gen = model.decode(z_q)
+    weights = tuple(0.5 if i in (0, pos) else 0.0 for i in range(4))
+    with pytest.raises(ValueError, match=missing):
+        hybrid_loss(y_true, y_gen, z_hat, None, weights, codebook=model.codebook,
+                    indices=idx, perceptual_net=None)
+
+
 def test_l1_component_hand_value(rng, model):
     """Constant offset of 0.5 everywhere gives an L1 term of exactly 0.5."""
     y_gen_arr = rng.standard_normal((1, 1, 8, 8, 8)).astype(np.float32)
