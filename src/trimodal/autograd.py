@@ -1,28 +1,40 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A ``Tensor`` wraps a float32 numpy array (float64 in verification mode,
-see :mod:`trimodal.gradcheck`).  Each operation records its input tensors
-and a backward rule on the output; ``Tensor.backward`` replays the rules
-in reverse creation order, which is a valid topological order because an
-op's inputs always exist before its output.
+see :mod:`trimodal.gradcheck`).  ``Tensor.backward`` replays the recorded
+rules in reverse creation order, which is a valid topological order
+because an op's inputs always exist before its output.
+
+Recording a node.  An op computes its forward value and one gradient rule
+per input, then hands both to ``_node(data, parents, rules)``: ``rules[i]``
+maps the output gradient ``g`` to input i's gradient.  Only when the tape
+is live (no ``no_grad`` and some input requires a gradient) does the
+output keep its parents and a backward that runs, for each input that
+requires a gradient, its rule and ``_accum``.  ``_accum`` adopts a rule's
+result without a copy; it copies views, read-only arrays and ``g`` itself
+passed through, so no two gradients share a buffer.  ``nn.LayerNorm`` is
+recorded the same way.  Three ops record their node by hand with ``_make``
+and ``_accum``, because both of their input gradients share one
+intermediate that a rule per input would compute twice: ``conv3d`` and
+``conv_transpose3d`` (the output gradient on the phase grid) and
+``losses.sdm_loss`` (the gradient of the similarity matrix).
 
 Backward frees the graph as it replays it.  A rule never holds its own
-output tensor, so a graph has no reference cycles and its buffers are
-released by reference counting, without waiting for the cyclic garbage
-collector.  Once a node's rule has run, the node drops its parents, its
-gradient and its rule: non-leaf tensors keep no gradient, leaves
-(parameters and tensors created with ``requires_grad=True``) keep theirs,
-and a second backward through a freed node raises ``RuntimeError``.
+output tensor (the rules exist before it does), so a graph has no
+reference cycles and its buffers are released by reference counting,
+without waiting for the cyclic garbage collector.  Once a node's rule has
+run, the node drops its parents, its gradient and its rule: non-leaf
+tensors keep no gradient, leaves (parameters and tensors created with
+``requires_grad=True``) keep theirs, and a second backward through a
+freed node raises ``RuntimeError``.
 
 The primitive set is closed on purpose: dense maps, 3-d convolution
-(plain and transposed), global average pooling, pointwise nonlinearities,
-softmax, reductions and shape plumbing: exactly what the fusion pipeline
-needs.  Two fused ops outside this module, ``nn.LayerNorm`` and
-``losses.sdm_loss``, record one node each through ``_make`` and
-``_accum`` with a closed-form backward.  Both convolutions and their gradients run on one phase-grid
-kernel of shifted GEMMs (see the conv section).  All accumulation happens
-in numpy's fixed-order reductions, so repeated runs on the same inputs
-are bit-identical; the conv kernel also gives the same bits at one or two
+(plain and transposed), pointwise nonlinearities, softmax, reductions and
+shape plumbing: exactly what the fusion pipeline needs.  Both
+convolutions and their gradients run on one phase-grid kernel of shifted
+GEMMs (see the conv section).  All accumulation happens in numpy's
+fixed-order reductions, so repeated runs on the same inputs are
+bit-identical; the conv kernel also gives the same bits at one or two
 BLAS threads.
 """
 
@@ -154,19 +166,9 @@ class Tensor:
 
     def __add__(self, other):
         if not isinstance(other, Tensor):
-            out = _make(self.data + other, (self,))
-            if out._parents:
-                out._backward = lambda g, a=self: _accum(a, _unbroadcast(g, a.data.shape))
-            return out
-        out = _make(self.data + other.data, (self, other))
-        if out._parents:
-            def bwd(g, a=self, b=other):
-                if a.requires_grad:
-                    _accum(a, _unbroadcast(g, a.data.shape))
-                if b.requires_grad:
-                    _accum(b, _unbroadcast(g, b.data.shape))
-            out._backward = bwd
-        return out
+            return _node(self.data + other, (self,), (lambda g: _unbroadcast(g, self.data.shape),))
+        return _node(self.data + other.data, (self, other), (lambda g: _unbroadcast(g, self.data.shape),
+                                                             lambda g: _unbroadcast(g, other.data.shape)))
 
     __radd__ = __add__
 
@@ -182,41 +184,22 @@ class Tensor:
 
     def __mul__(self, other):
         if not isinstance(other, Tensor):
-            out = _make(self.data * other, (self,))
-            if out._parents:
-                out._backward = lambda g, a=self, c=other: _accum(a, _unbroadcast(g * c, a.data.shape), fresh=True)
-            return out
-        out = _make(self.data * other.data, (self, other))
-        if out._parents:
-            def bwd(g, a=self, b=other):
-                if a.requires_grad:
-                    _accum(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
-                if b.requires_grad:
-                    _accum(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
-            out._backward = bwd
-        return out
+            return _node(self.data * other, (self,), (lambda g: _unbroadcast(g * other, self.data.shape),))
+        return _node(self.data * other.data, (self, other), (lambda g: _unbroadcast(g * other.data, self.data.shape),
+                                                             lambda g: _unbroadcast(g * self.data, other.data.shape)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Tensor):
             return self * (1.0 / other)
-        out = _make(self.data / other.data, (self, other))
-        if out._parents:
-            def bwd(g, a=self, b=other, y=out.data):
-                if a.requires_grad:
-                    _accum(a, _unbroadcast(g / b.data, a.data.shape), fresh=True)
-                if b.requires_grad:
-                    _accum(b, _unbroadcast(-g * y / b.data, b.data.shape), fresh=True)
-            out._backward = bwd
-        return out
+        y = self.data / other.data
+        return _node(y, (self, other), (lambda g: _unbroadcast(g / other.data, self.data.shape),
+                                        lambda g: _unbroadcast(-g * y / other.data, other.data.shape)))
 
     def __rtruediv__(self, other):
-        out = _make(other / self.data, (self,))
-        if out._parents:
-            out._backward = lambda g, a=self, y=out.data: _accum(
-                a, _unbroadcast(-g * y / a.data, a.data.shape), fresh=True)
-        return out
+        y = other / self.data
+        return _node(y, (self,), (lambda g: _unbroadcast(-g * y / self.data, self.data.shape),))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -224,111 +207,70 @@ class Tensor:
     # -- pointwise ---------------------------------------------------------
 
     def abs(self):
-        out = _make(np.abs(self.data), (self,))
-        if out._parents:
-            out._backward = lambda g, a=self: _accum(a, g * np.sign(a.data), fresh=True)
-        return out
+        return _node(np.abs(self.data), (self,), (lambda g: g * np.sign(self.data),))
 
     def square(self):
-        out = _make(self.data * self.data, (self,))
-        if out._parents:
-            out._backward = lambda g, a=self: _accum(a, g * (2.0 * a.data), fresh=True)
-        return out
+        return _node(self.data * self.data, (self,), (lambda g: g * (2.0 * self.data),))
 
     def sqrt(self):
-        out = _make(np.sqrt(self.data), (self,))
-        if out._parents:
-            out._backward = lambda g, a=self, y=out.data: _accum(a, g * (0.5 / y), fresh=True)
-        return out
+        y = np.sqrt(self.data)
+        return _node(y, (self,), (lambda g: g * (0.5 / y),))
 
     def powf(self, c):
         """Elementwise x**c for a python float c (x > 0, or integer c)."""
-        out = _make(self.data ** c, (self,))
-        if out._parents:
-            out._backward = lambda g, a=self, c=c: _accum(a, g * (c * a.data ** (c - 1.0)), fresh=True)
-        return out
+        return _node(self.data ** c, (self,), (lambda g: g * (c * self.data ** (c - 1.0)),))
 
     def log(self):
-        out = _make(np.log(self.data), (self,))
-        if out._parents:
-            out._backward = lambda g, a=self: _accum(a, g / a.data, fresh=True)
-        return out
+        return _node(np.log(self.data), (self,), (lambda g: g / self.data,))
 
     def exp(self):
-        out = _make(np.exp(self.data), (self,))
-        if out._parents:
-            out._backward = lambda g, y=out.data, a=self: _accum(a, g * y, fresh=True)
-        return out
+        y = np.exp(self.data)
+        return _node(y, (self,), (lambda g: g * y,))
 
     def relu(self):
-        out = _make(np.maximum(self.data, 0.0), (self,))
-        if out._parents:
-            out._backward = lambda g, a=self: _accum(a, g * (a.data > 0), fresh=True)
-        return out
+        return _node(np.maximum(self.data, 0.0), (self,), (lambda g: g * (self.data > 0),))
 
     def leaky_relu(self, alpha=0.2):
-        out = _make(np.where(self.data > 0, self.data, alpha * self.data), (self,))
-        if out._parents:
-            out._backward = lambda g, a=self, al=alpha: _accum(
-                a, g * np.where(a.data > 0, 1.0, al).astype(g.dtype), fresh=True)
-        return out
+        return _node(np.where(self.data > 0, self.data, alpha * self.data), (self,),
+                     (lambda g: g * np.where(self.data > 0, 1.0, alpha).astype(g.dtype),))
 
     def tanh(self):
-        out = _make(np.tanh(self.data), (self,))
-        if out._parents:
-            out._backward = lambda g, y=out.data, a=self: _accum(a, g * (1.0 - y * y), fresh=True)
-        return out
+        y = np.tanh(self.data)
+        return _node(y, (self,), (lambda g: g * (1.0 - y * y),))
 
     def sigmoid(self):
-        out = _make(1.0 / (1.0 + np.exp(-self.data)), (self,))
-        if out._parents:
-            out._backward = lambda g, y=out.data, a=self: _accum(a, g * (y * (1.0 - y)), fresh=True)
-        return out
+        y = 1.0 / (1.0 + np.exp(-self.data))
+        return _node(y, (self,), (lambda g: g * (y * (1.0 - y)),))
 
     # -- shape -------------------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = _make(self.data.reshape(shape), (self,))
-        if out._parents:
-            out._backward = lambda g, a=self: _accum(a, g.reshape(a.data.shape))
-        return out
+        return _node(self.data.reshape(shape), (self,), (lambda g: g.reshape(self.data.shape),))
 
     def transpose(self, axes):
-        axes = tuple(axes)
-        out = _make(self.data.transpose(axes), (self,))
-        if out._parents:
-            inv = tuple(np.argsort(axes))
-            out._backward = lambda g, a=self, inv=inv: _accum(a, g.transpose(inv))
-        return out
+        axes = tuple(a % self.data.ndim for a in axes)
+        return _node(self.data.transpose(axes), (self,),
+                     (lambda g: g.transpose([axes.index(i) for i in range(len(axes))]),))
 
     def __getitem__(self, key):
-        out = _make(self.data[key], (self,))
-        if out._parents:
-            def bwd(g, a=self, key=key):
-                gz = np.zeros_like(a.data)
-                np.add.at(gz, key, g)  # repeated indices accumulate
-                _accum(a, gz, fresh=True)
-            out._backward = bwd
-        return out
+        def rule(g):
+            gz = np.zeros_like(self.data)
+            np.add.at(gz, key, g)  # repeated indices accumulate
+            return gz
+        return _node(self.data[key], (self,), (rule,))
 
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out._parents:
-            out._backward = lambda g, a=self, ax=axis, kd=keepdims: _accum(
-                a, _spread(g, a.data.shape, ax, kd))
-        return out
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                     (lambda g: _spread(g, self.data.shape, axis, keepdims),))
 
     def mean(self, axis=None, keepdims=False):
-        out = _make(self.data.mean(axis=axis, keepdims=keepdims), (self,))
-        if out._parents:
-            n = self.data.size if axis is None else _axis_size(self.data.shape, axis)
-            out._backward = lambda g, a=self, ax=axis, kd=keepdims, n=n: _accum(
-                a, _spread(g / n, a.data.shape, ax, kd), fresh=True)
-        return out
+        y = self.data.mean(axis=axis, keepdims=keepdims)
+        n = self.data.size // y.size  # elements averaged into each output
+        return _node(y, (self,), (lambda g: _spread(g / n, self.data.shape, axis, keepdims),))
 
 
 def _make(data, parents):
@@ -347,18 +289,32 @@ def _make(data, parents):
     return out
 
 
+def _node(data, parents, rules):
+    """Record ``data`` as an op output whose input i gets the gradient
+    ``rules[i](g)`` (see the module docstring)."""
+    out = _make(data, parents)
+    if out._parents:
+        def bwd(g):
+            for p, rule in zip(parents, rules):
+                if p.requires_grad:
+                    r = rule(g)
+                    _accum(p, r, r is not g)
+        out._backward = bwd
+    return out
+
+
 def _freed(g):
     """Rule left on a node whose graph an earlier ``backward()`` freed."""
     raise RuntimeError("backward() through a graph that an earlier backward() already freed")
 
 
-def _accum(t, g, fresh=False):
+def _accum(t, g, fresh=True):
     """Add gradient ``g`` into ``t.grad``.
 
-    ``fresh`` marks arrays allocated inside the calling closure, which can
-    be adopted without copying; pass-through arrays are copied on first
-    assignment so later in-place accumulation cannot alias another node's
-    gradient.
+    A fresh array, allocated by the caller, is adopted without a copy.
+    Views, read-only arrays and arrays the caller marks not fresh (an
+    output gradient passed through) are copied on first assignment, so
+    later in-place accumulation cannot alias another node's gradient.
     """
     if not t.requires_grad:
         return
@@ -371,24 +327,11 @@ def _accum(t, g, fresh=False):
         t.grad += g
 
 
-def _axis_size(shape, axis):
-    if isinstance(axis, int):
-        return shape[axis]
-    n = 1
-    for ax in axis:
-        n *= shape[ax]
-    return n
-
-
 def _spread(g, shape, axis, keepdims):
     """Broadcast a reduced gradient back to the pre-reduction shape."""
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(a % len(shape) for a in axes)
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
+    if axis is not None and not keepdims:
+        axes = {a % len(shape) for a in ((axis,) if isinstance(axis, int) else axis)}
+        g = g.reshape([1 if i in axes else n for i, n in enumerate(shape)])
     return np.broadcast_to(g, shape)
 
 
@@ -399,17 +342,9 @@ def matmul(a, b):
     """Batched matrix product with broadcasting over leading axes."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul requires tensors of rank >= 2")
-    out = _make(np.matmul(a.data, b.data), (a, b))
-    if out._parents:
-        def bwd(g, a=a, b=b):
-            if a.requires_grad:
-                ga = np.matmul(g, b.data.swapaxes(-1, -2))
-                _accum(a, _unbroadcast(ga, a.data.shape), fresh=True)
-            if b.requires_grad:
-                gb = np.matmul(a.data.swapaxes(-1, -2), g)
-                _accum(b, _unbroadcast(gb, b.data.shape), fresh=True)
-        out._backward = bwd
-    return out
+    return _node(np.matmul(a.data, b.data), (a, b), (
+        lambda g: _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape),
+        lambda g: _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)))
 
 
 def softmax(x, axis=-1):
@@ -417,31 +352,18 @@ def softmax(x, axis=-1):
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _make(y, (x,))
-    if out._parents:
-        def bwd(g, a=x, y=y, ax=axis):
-            dot = (g * y).sum(axis=ax, keepdims=True)
-            _accum(a, y * (g - dot), fresh=True)
-        out._backward = bwd
-    return out
+    return _node(y, (x,), (lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 def concat(tensors, axis=0):
     """Concatenate tensors along ``axis``."""
-    datas = [t.data for t in tensors]
-    out = _make(np.concatenate(datas, axis=axis), tuple(tensors))
-    if out._parents:
-        sizes = [d.shape[axis] for d in datas]
-        def bwd(g, ts=tuple(tensors), sizes=tuple(sizes), ax=axis):
-            start = 0
-            idx = [slice(None)] * g.ndim
-            for t, n in zip(ts, sizes):
-                idx[ax] = slice(start, start + n)
-                if t.requires_grad:
-                    _accum(t, g[tuple(idx)])
-                start += n
-        out._backward = bwd
-    return out
+    rules, start = [], 0
+    for t in tensors:
+        idx = [slice(None)] * t.data.ndim
+        idx[axis] = slice(start, start + t.data.shape[axis])
+        rules.append(lambda g, idx=tuple(idx): g[idx])  # bound now, one slice each
+        start += t.data.shape[axis]
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), rules)
 
 
 def straight_through(x, values):
@@ -454,29 +376,22 @@ def straight_through(x, values):
     values = np.ascontiguousarray(values, dtype=x.data.dtype)
     if values.shape != x.data.shape:
         raise ValueError(f"straight_through shape mismatch: {values.shape} vs {x.data.shape}")
-    out = _make(values, (x,))
-    if out._parents:
-        out._backward = lambda g, a=x: _accum(a, g)
-    return out
+    return _node(values, (x,), (lambda g: g,))
 
 
 def gather_rows(table, indices):
-    """Select rows of a 2-d tensor by an integer index array.
-
-    Backward scatter-adds into the table (fixed sequential order).
-    """
+    """Select rows of a 2-d tensor by an integer index array; backward
+    scatter-adds into the table through ``Tensor.__getitem__``."""
     if table.data.ndim != 2:
         raise ValueError("gather_rows expects a 2-d table")
-    idx = np.asarray(indices)
-    out = _make(table.data[idx], (table,))
-    if out._parents:
-        def bwd(g, t=table, idx=idx):
-            gz = np.zeros_like(t.data)
-            np.add.at(gz, idx.reshape(-1), g.reshape(-1, t.data.shape[1]))
-            _accum(t, gz, fresh=True)
-        out._backward = bwd
-    return out
+    return table[np.asarray(indices)]
 
+
+def global_avg_pool(x):
+    """Mean over the three spatial axes: [N,C,D,H,W] -> [N,C]."""
+    if x.data.ndim != 5:
+        raise ValueError(f"global_avg_pool expects [N,C,D,H,W], got {x.data.shape}")
+    return x.mean(axis=(2, 3, 4))
 
 # -- 3-d convolution ----------------------------------------------------------
 #
@@ -671,10 +586,10 @@ def conv3d(x, kernel, stride=1, padding=0):
             gg = pg.to_coarse(g, cols)
             if k.requires_grad:
                 gk = _wgrad(xg, gg[:, pg.lead:], pg.offs, cols)
-                _accum(k, pg.unkernel(gk, k.data.shape), fresh=True)
+                _accum(k, pg.unkernel(gk, k.data.shape))
             if x.requires_grad:
                 gx = _adjoint(gg, kq, pg.offs, cols)
-                _accum(x, pg.from_fine(gx, x.data.shape), fresh=True)
+                _accum(x, pg.from_fine(gx, x.data.shape))
         out._backward = bwd
     return out
 
@@ -711,25 +626,9 @@ def conv_transpose3d(x, kernel, stride=1, padding=0):
             gg = pg.to_fine(g, cols)
             if x.requires_grad:
                 gx = _corr(gg, kq, pg.offs, cols)
-                _accum(x, pg.from_coarse(gx, x.data.shape), fresh=True)
+                _accum(x, pg.from_coarse(gx, x.data.shape))
             if k.requires_grad:
                 gk = _wgrad(gg, xg[:, pg.lead:], pg.offs, cols)
-                _accum(k, pg.unkernel(gk, k.data.shape), fresh=True)
-        out._backward = bwd
-    return out
-
-
-# -- pooling -------------------------------------------------------------------
-
-
-def global_avg_pool(x):
-    """Mean over the three spatial axes: [N,C,D,H,W] -> [N,C]."""
-    if x.data.ndim != 5:
-        raise ValueError(f"global_avg_pool expects [N,C,D,H,W], got {x.data.shape}")
-    out = _make(x.data.mean(axis=(2, 3, 4)), (x,))
-    if out._parents:
-        n = x.data.shape[2] * x.data.shape[3] * x.data.shape[4]
-        def bwd(g, a=x, n=n):
-            _accum(a, np.broadcast_to((g / n)[:, :, None, None, None], a.data.shape))
+                _accum(k, pg.unkernel(gk, k.data.shape))
         out._backward = bwd
     return out

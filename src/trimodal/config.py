@@ -58,14 +58,37 @@ def _section(cfg, path):
     return obj
 
 
+def _check_type(name, val, default):
+    """Refuse ``val`` unless it has the type of its field's ``default``.
+    Float fields keep integers as given: coercing them would move the hash
+    of configs that load today."""
+    def number(v, kinds=(int, float)):
+        return isinstance(v, kinds) and not isinstance(v, bool)
+    if isinstance(default, bool):
+        ok, what = isinstance(val, bool), "true or false"
+    elif isinstance(default, int):
+        ok, what = number(val, int), "an integer"
+    elif isinstance(default, float):
+        ok, what = number(val), "a number"
+    elif isinstance(default, tuple):  # volume_shape
+        ok = isinstance(val, (list, tuple)) and len(val) == 3 and all(number(v, int) for v in val)
+        what = "three integers"
+    else:  # alpha_focal, default None
+        ok = val is None or isinstance(val, (list, tuple)) and len(val) == 2 and all(map(number, val))
+        what = "null or two numbers"
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {val!r}")
+
+
 def _apply_section(obj, values, section):
     fields = {f.name: f for f in dataclasses.fields(obj)}
     for key, val in values.items():
         if key not in fields or key in _HIDDEN_FIELDS:
             known = sorted(set(fields) - _HIDDEN_FIELDS)
             raise ConfigError(f"unknown key {section}.{key}; known keys: {known}")
+        _check_type(f"{section}.{key}", val, fields[key].default)
         if key == "volume_shape":
-            val = tuple(int(v) for v in val)
+            val = tuple(val)
         if key == "alpha_focal" and val is not None:
             val = tuple(float(v) for v in val)
         setattr(obj, key, val)
@@ -92,7 +115,8 @@ def from_dict(tree):
     for key, val in ablation.items():
         if key not in ("use_mmg", "use_tcaf"):
             raise ConfigError(f"unknown key ablation.{key}; known keys: ['use_mmg', 'use_tcaf']")
-        setattr(cfg.train, key, bool(val))
+        _check_type(f"ablation.{key}", val, True)
+        setattr(cfg.train, key, val)
     if "out_dir" in tree:
         cfg.out_dir = str(tree["out_dir"])
     return cfg.validate()

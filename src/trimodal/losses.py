@@ -126,9 +126,9 @@ def sdm_loss(feat_a, feat_b, labels, cfg: LossConfig):
             d_ba = p_ba * (r_ba - (p_ba * r_ba).sum(axis=1, keepdims=True))
             d_sim = (d_ab + d_ba.T) * (g * (0.5 / (n * cfg.tau)))
             if a.requires_grad:
-                _accum(a, _unit_rows_grad(d_sim @ b_hat, a_hat, a_norm), fresh=True)
+                _accum(a, _unit_rows_grad(d_sim @ b_hat, a_hat, a_norm))
             if b.requires_grad:
-                _accum(b, _unit_rows_grad(d_sim.T @ a_hat, b_hat, b_norm), fresh=True)
+                _accum(b, _unit_rows_grad(d_sim.T @ a_hat, b_hat, b_norm))
         out._backward = bwd
     return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, _accum, _make, conv3d, conv_transpose3d, matmul
+from .autograd import Tensor, _node, conv3d, conv_transpose3d, matmul
 
 
 class Parameter(Tensor):
@@ -136,18 +136,13 @@ class LayerNorm(Module):
         var = (xc * xc).mean(axis=-1, keepdims=True)
         std = np.sqrt(var + self.eps)
         xhat = xc / std
-        out = _make(xhat * self.gamma.data + self.beta.data, (x, self.gamma, self.beta))
-        if out._parents:
-            def bwd(g, x=x, gamma=self.gamma, beta=self.beta, xhat=xhat, std=std):
-                lead = tuple(range(g.ndim - 1))
-                if gamma.requires_grad:
-                    _accum(gamma, (g * xhat).sum(axis=lead), fresh=True)
-                if beta.requires_grad:
-                    _accum(beta, g.sum(axis=lead), fresh=True)
-                if x.requires_grad:
-                    gh = g * gamma.data
-                    gx = (gh - gh.mean(axis=-1, keepdims=True)
-                          - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
-                    _accum(x, gx, fresh=True)
-            out._backward = bwd
-        return out
+        gamma = self.gamma
+
+        def x_rule(g):
+            gh = g * gamma.data
+            return (gh - gh.mean(axis=-1, keepdims=True)
+                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+        return _node(xhat * gamma.data + self.beta.data, (x, gamma, self.beta), (
+            x_rule,
+            lambda g: (g * xhat).sum(axis=tuple(range(g.ndim - 1))),
+            lambda g: g.sum(axis=tuple(range(g.ndim - 1)))))

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .autograd import INFERENCE_CHUNK, Tensor, no_grad
-from .checkpoint import load_checkpoint, save_checkpoint, state_checksums
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, state_checksums
 from .encoders import EncoderConfig, ModalityEncoders, pool_tokens
 from .fusion import ConcatHead, TcafHead
 from .losses import (LossConfig, focal_loss, inverse_class_weights, sdm_loss,
@@ -274,10 +274,22 @@ def train_mmg(subjects, cfg: TrainConfig, *, seed_seq=None, out_dir=None, config
     return model, history
 
 
+def _load_stage(path, stage):
+    """Tensors and meta of the checkpoint at ``path``, which training stage
+    ``stage`` must have written (stage 1 the generator, stage 2 the fusion
+    model)."""
+    tensors, meta = load_checkpoint(path)
+    found = meta.get("stage") if isinstance(meta, dict) else None
+    if found != stage:
+        what = "has no stage in its meta" if found is None else f"is a stage-{found} checkpoint"
+        raise CheckpointError(f"{path} {what}; expected a stage-{stage} checkpoint")
+    return tensors, meta
+
+
 def load_mmg(path):
     """Rebuild a stage-1 generator from its checkpoint.  The architecture
     comes from the checkpoint's meta, not from the caller's config."""
-    tensors, meta = load_checkpoint(path)
+    tensors, meta = _load_stage(path, 1)
     weights = meta["loss_weights"]
     mmg_cfg = MmgConfig(
         codebook_size=meta["codebook_size"], d_code=meta["d_code"], beta=meta["beta"],
@@ -459,7 +471,7 @@ def load_fusion(path):
     """Rebuild a stage-2 bundle from its checkpoint alone: encoder widths,
     head, loss config and the standardizer's exact statistics come from
     the checkpoint's meta, so the bundle scores as the trained one did."""
-    tensors, meta = load_checkpoint(path)
+    tensors, meta = _load_stage(path, 2)
     del tensors["standardizer.mean"], tensors["standardizer.std"]
     standardizer = Standardizer()
     standardizer.mean = np.array(meta["standardizer"]["mean"], dtype=np.float64)

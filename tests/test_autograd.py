@@ -5,6 +5,7 @@ drown the h**2 truncation error of the central difference.
 """
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -471,3 +472,83 @@ def test_second_backward_through_freed_nodes_raises(rng):
         loss.backward()
     with pytest.raises(RuntimeError, match="freed"):
         (h * 2.0).sum().backward()
+
+
+# -- pinned op bytes -----------------------------------------------------------
+
+# Forward values and input gradients of the tape's non-conv ops on fixed
+# float32 inputs, hashed together.  The artifact digests reach only the ops
+# the models use; this pins every op's rule.  Bits of float arithmetic
+# depend on the NumPy and BLAS build, so the digest is keyed to its own.
+_OP_BYTES_BUILD = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
+_OP_BYTES_DIGEST = "c5c36f1fcb0b97ef6f0b06edfc4788715ceaebc62a946d95419aaa55c4ad6144"
+
+
+def _op_cases():
+    from trimodal.nn import LayerNorm
+
+    def layer_norm(x, gamma, beta):
+        ln = LayerNorm(x.shape[-1])
+        ln.gamma, ln.beta = gamma, beta
+        return ln(x)
+
+    rows = np.array([1, 4, 1, 0, 4, 4])
+    return [
+        ("add-broadcast", [(3, 4), (1, 4)], lambda a, b: a + b),
+        ("add-constant", [(3, 4)], lambda a: a + 2.5),
+        ("mul-broadcast", [(2, 3, 4), (3, 1)], lambda a, b: a * b),
+        ("mul-constant", [(3, 4)], lambda a: a * 0.3),
+        ("mul-self", [(3, 4)], lambda a: a * a),
+        ("div", [(3, 4), (3, 4)], lambda a, b: a / (b.abs() + 0.5)),
+        ("rtruediv", [(3, 4)], lambda a: 1.5 / (a.abs() + 0.5)),
+        ("abs-square", [(3, 4)], lambda a: a.abs() + a.square()),
+        ("sqrt", [(3, 4)], lambda a: (a.abs() + 0.1).sqrt()),
+        ("powf-log", [(3, 4)], lambda a: (a.abs() + 0.1).powf(1.7) + (a.abs() + 0.1).log()),
+        ("exp", [(3, 4)], lambda a: a.exp()),
+        ("relu-leaky", [(3, 4)], lambda a: a.relu() + a.leaky_relu(0.1)),
+        ("tanh", [(3, 4)], lambda a: a.tanh()),
+        ("sigmoid", [(3, 4)], lambda a: a.sigmoid()),
+        ("reshape-transpose", [(2, 3, 4)], lambda a: a.reshape(4, 6).transpose((1, 0))),
+        ("sum", [(2, 3, 4)], lambda a: a.sum(axis=1) + a.sum(axis=(0, 2), keepdims=True).sum()),
+        ("sum-all", [(2, 3, 4)], lambda a: a.sum() + a.sum(axis=-1, keepdims=True)),
+        ("mean", [(2, 3, 4)], lambda a: a.mean(axis=(0, 2)) + a.mean()),
+        ("mean-keepdims", [(2, 3, 4)], lambda a: a.mean(axis=1, keepdims=True)),
+        ("getitem-slices", [(4, 5)], lambda a: a[1:3, ::2]),
+        ("getitem-repeats", [(5, 3)], lambda a: a[np.array([0, 3, 3, 1, 0])]),
+        ("matmul-batched", [(2, 3, 4), (4, 5)], lambda a, b: matmul(a, b)),
+        ("matmul-both-batched", [(2, 3, 4), (2, 4, 2)], lambda a, b: a @ b),
+        ("softmax", [(2, 3, 5)], lambda a: softmax(a, axis=-1) + softmax(a, axis=1)),
+        ("concat", [(2, 1, 3), (2, 2, 3), (2, 3, 3)], lambda a, b, c: concat([a, b, c], axis=-2)),
+        ("straight-through", [(3, 4)],
+         lambda a: straight_through(a, np.round(a.data * 4.0) / 4.0) * a),
+        ("gather-rows", [(6, 3)], lambda t: gather_rows(t, rows)),
+        ("gather-rows-2d", [(6, 3)], lambda t: gather_rows(t, rows.reshape(2, 3))),
+        ("global-avg-pool", [(2, 3, 4, 3, 5)], lambda x: global_avg_pool(x)),
+        ("layernorm", [(2, 3, 6), (6,), (6,)], layer_norm),
+    ]
+
+
+def test_op_forward_and_gradient_bytes_match_the_pinned_digest():
+    from test_acceptance import _numpy_build
+
+    if _numpy_build() != _OP_BYTES_BUILD:
+        pytest.skip(f"op digest recorded on NumPy/BLAS {_OP_BYTES_BUILD}, this is {_numpy_build()}")
+    rng = np.random.default_rng(16)
+    h = hashlib.sha256()
+    for name, shapes, fn in _op_cases():
+        leaves = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                  for s in shapes]
+        out = fn(*leaves)
+        (out * rng.standard_normal(out.shape).astype(np.float32)).sum().backward()
+        h.update(name.encode("utf-8"))
+        for a in [out.data] + [t.grad for t in leaves]:
+            h.update(f"|{a.dtype.str}{a.shape}|".encode("utf-8"))
+            h.update(a.tobytes())
+    assert h.hexdigest() == _OP_BYTES_DIGEST
+
+
+def test_transpose_with_negative_axes_routes_the_gradient_back():
+    x = t64(np.arange(24.0).reshape(2, 3, 4))
+    w = np.arange(24.0).reshape(2, 4, 3)
+    (x.transpose((0, -1, 1)) * w).sum().backward()
+    assert np.array_equal(x.grad, w.transpose(0, 2, 1))

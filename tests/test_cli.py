@@ -233,3 +233,48 @@ def test_console_script_is_installed():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "cohort:" in proc.stdout
+
+
+def test_train_fusion_with_a_stage_2_checkpoint_as_generator_exits_2(fast_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train-fusion", "--config", fast_config, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([
+        "train-fusion", "--config", fast_config, "--out", str(out / "s2"),
+        "--cohort", str(out / "cohort"),
+        "--mmg-ckpt", str(out / "fusion.itck"),
+    ]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "fusion.itck is a stage-2 checkpoint; expected a stage-1 checkpoint" in err
+
+
+# Each value has the wrong type for its key; all must be refused before
+# anything runs.  The small cohort keeps a wrongly accepted case cheap.
+_SMALL_COHORT = {"n_subjects": 8, "volume_shape": [8, 8, 8]}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("ablation", "use_mmg", "false"),
+    ("cohort", "label_correlated_missing", "no"),
+    ("train", "epochs_stage1", 1.5),
+    ("train", "epochs_stage2", True),
+    ("cohort", "volume_shape", 16),
+    ("cohort", "volume_shape", [16.0, 16, 16]),
+    ("loss", "alpha_focal", 3),
+    ("loss", "alpha_focal", [1.0, "x"]),
+    ("cohort", "n_subjects", "abc"),
+    ("train", "lr", "abc"),
+])
+def test_mistyped_config_value_exits_2_naming_its_key(section, key, value, tmp_path, capsys):
+    tree = {"cohort": dict(_SMALL_COHORT)}
+    tree.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    assert main(["gen", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_integers_in_float_fields_load_as_given():
+    cfg = from_dict({"train": {"lr": 1}, "loss": {"gamma": 2, "alpha_focal": [1, 3]}})
+    assert type(cfg.train.lr) is int and type(cfg.train.loss.gamma) is int
+    assert cfg.train.loss.alpha_focal == (1.0, 3.0)

@@ -409,6 +409,24 @@ def test_load_fusion_scores_held_out_subjects_like_the_trained_bundle(small_subj
     assert evaluate_fusion(loaded, held_out, None) == evaluate_fusion(bundle, held_out, None)
 
 
+def test_loaders_refuse_the_other_stage_and_a_meta_less_checkpoint(small_subjects, tmp_path):
+    from trimodal.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+    from trimodal.trainer import load_mmg
+
+    cfg = fast_train_config(epochs_stage1=1, epochs_stage2=1)
+    model, _ = train_mmg(small_subjects, cfg, out_dir=str(tmp_path))
+    train_fusion(small_subjects, cfg, model, out_dir=str(tmp_path))
+    mmg_ckpt, fusion_ckpt, bare = (str(tmp_path / n) for n in ("mmg.itck", "fusion.itck", "bare.itck"))
+    save_checkpoint(bare, load_checkpoint(mmg_ckpt)[0])  # the generator's tensors, no meta
+    with pytest.raises(CheckpointError, match="fusion.itck is a stage-2 checkpoint; expected a stage-1"):
+        load_mmg(fusion_ckpt)
+    with pytest.raises(CheckpointError, match="mmg.itck is a stage-1 checkpoint; expected a stage-2"):
+        load_fusion(mmg_ckpt)
+    for loader, stage in ((load_mmg, 1), (load_fusion, 2)):
+        with pytest.raises(CheckpointError, match=f"bare.itck has no stage.*expected a stage-{stage}"):
+            loader(bare)
+
+
 # -- cross-validation ------------------------------------------------------
 
 
