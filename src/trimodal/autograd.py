@@ -8,11 +8,11 @@ because an op's inputs always exist before its output.
 Recording a node.  An op computes its forward value and one gradient rule
 per input, then hands both to ``_node(data, parents, rules)``: ``rules[i]``
 maps the output gradient ``g`` to input i's gradient.  Only when the tape
-is live (no ``no_grad`` and some input requires a gradient) does the
-output keep its parents and a backward that runs, for each input that
-requires a gradient, its rule and ``_accum``.  ``_accum`` adopts a rule's
-result without a copy; it copies views, read-only arrays and ``g`` itself
-passed through, so no two gradients share a buffer.  ``nn.LayerNorm`` is
+is live (no ``no_grad`` in this thread and some input requires a
+gradient) does the output keep its parents and a backward that runs, for
+each input that requires a gradient, its rule and ``_accum``.  ``_accum``
+adopts a rule's result without a copy; it copies views, read-only arrays
+and ``g`` itself passed through, so no two gradients share a buffer.  ``nn.LayerNorm`` is
 recorded the same way.  Three ops record their node by hand with ``_make``
 and ``_accum``, because both of their input gradients share one
 intermediate that a rule per input would compute twice: ``conv3d`` and
@@ -42,34 +42,77 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 _ids = itertools.count()
-_grad_enabled = True
+
+
+class _GradMode(threading.local):
+    """Whether ops record the tape; each thread has its own switch."""
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 # Forward passes under ``no_grad`` over a whole cohort (calibration,
-# imputation, scoring) run this many subjects at a time, so their memory
-# does not grow with the cohort.  The bytes equal a one-batch forward over
-# the cohort, short last chunk included: the conv GEMMs pad their grid to
-# 64 columns, and the dense matmuls take rows in blocks of 4 from the
-# first, so chunks that start at multiples of 4 keep every row's bits
-# (chunk sizes that are not moved the fusion scores by ~1e-7).
-INFERENCE_CHUNK = 64
+# imputation, scoring) run this many subjects at a time, in two lanes (see
+# ``map_chunks``), so at most two chunks are in flight and memory does not
+# grow with the cohort.  Two lanes of 32 hold the 64 subjects that one lane
+# of 64 held before.  The bytes equal a one-batch forward over the cohort,
+# short last chunk included: the conv GEMMs pad their grid to 64 columns,
+# and the dense matmuls take rows in blocks of 4 from the first, so chunks
+# that start at multiples of 4 keep every row's bits (chunk sizes that are
+# not moved the fusion scores by ~1e-7).
+INFERENCE_CHUNK = 32
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording (inference / oracle evaluation)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording in this thread (inference / oracle evaluation)."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
+
+
+def map_chunks(fn, n):
+    """``[fn(chunk) for chunk in slices of range(n), INFERENCE_CHUNK long]``,
+    each call under ``no_grad``, run in two lanes: the calling thread takes
+    the even chunks and one worker thread the odd ones.  NumPy releases the
+    GIL inside its GEMMs and copies, so the lanes overlap.  Results come
+    back in chunk order, so the bytes do not depend on the lanes.  One
+    chunk runs inline and starts no thread.  The first error of either
+    lane stops both and is raised here."""
+    chunks = [slice(lo, min(lo + INFERENCE_CHUNK, n)) for lo in range(0, n, INFERENCE_CHUNK)]
+    out = [None] * len(chunks)
+    errors = []
+
+    def lane(first):
+        try:
+            with no_grad():
+                for i in range(first, len(chunks), 2):
+                    if errors:
+                        return
+                    out[i] = fn(chunks[i])
+        except BaseException as e:  # raised in the calling thread below
+            errors.append(e)
+
+    if len(chunks) > 1:
+        worker = threading.Thread(target=lane, args=(1,), name="trimodal-chunks")
+        worker.start()
+        lane(0)
+        worker.join()
+    else:
+        lane(0)
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _unbroadcast(g, shape):
@@ -280,7 +323,7 @@ def _make(data, parents):
     out.grad = None
     out._backward = None
     out._id = next(_ids)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import INFERENCE_CHUNK, Tensor, gather_rows, no_grad, straight_through
+from .autograd import Tensor, gather_rows, map_chunks, straight_through
 from .nn import Conv3d, ConvTranspose3d, Module, Parameter
 
 
@@ -176,16 +176,17 @@ class MmgModel(Module):
 
     def generate_pet(self, mri_batch):
         """[N,1,D,H,W] MRI -> PET of the same shape; pure inference, run
-        ``INFERENCE_CHUNK`` volumes at a time."""
+        ``INFERENCE_CHUNK`` volumes at a time in the two lanes of
+        ``map_chunks`` (a batch of one chunk runs inline)."""
         if mri_batch.shape[2:] != self.volume_shape:
             raise ValueError(f"volume shape {mri_batch.shape[2:]} != configured {self.volume_shape}")
-        out = []
-        with no_grad():
-            for lo in range(0, len(mri_batch), INFERENCE_CHUNK):
-                x = np.ascontiguousarray(mri_batch[lo:lo + INFERENCE_CHUNK], dtype=np.float32)
-                z_q, _ = quantize(self.encode(Tensor(x)), self.codebook)
-                out.append(self.calib.apply(self.decode(z_q).data))
-        return np.concatenate(out)
+
+        def generate(chunk):
+            x = np.ascontiguousarray(mri_batch[chunk], dtype=np.float32)
+            z_q, _ = quantize(self.encode(Tensor(x)), self.codebook)
+            return self.calib.apply(self.decode(z_q).data)
+
+        return np.concatenate(map_chunks(generate, len(mri_batch)))
 
 
 class PatchDiscriminator(Module):

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .autograd import INFERENCE_CHUNK, Tensor, no_grad
+from .autograd import Tensor, map_chunks, no_grad
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, state_checksums
 from .encoders import EncoderConfig, ModalityEncoders, pool_tokens
 from .fusion import ConcatHead, TcafHead
@@ -496,18 +496,19 @@ def evaluate_fusion(bundle: FusionBundle, subjects, mmg_model=None):
     """Threshold and ranking metrics of the trained model on ``subjects``.
 
     PET assembly and the forward run ``INFERENCE_CHUNK`` subjects at a
-    time; the scores are pooled before any metric is taken."""
-    scores = []
-    with no_grad():
-        for lo in range(0, len(subjects), INFERENCE_CHUNK):
-            chunk = subjects[lo:lo + INFERENCE_CHUNK]
-            # named until the next chunk replaces them: passing them straight
-            # into the call read ~4% slower on perfbench score_cohort
-            x_mri, x_pet, x_clin = _fusion_inputs(chunk, mmg_model, bundle.standardizer)
-            _, probs, _ = bundle.model(x_mri, x_pet, x_clin)
-            scores.append(probs.data[:, 1])
+    time in the two lanes of ``map_chunks``, so at most two chunks are in
+    flight; the scores are pooled in subject order before any metric is
+    taken.  An empty ``subjects`` raises ``ValueError``."""
+    if not subjects:
+        raise ValueError("evaluate_fusion: no subjects to score")
+
+    def score(chunk):
+        x_mri, x_pet, x_clin = _fusion_inputs(subjects[chunk], mmg_model, bundle.standardizer)
+        _, probs, _ = bundle.model(x_mri, x_pet, x_clin)
+        return probs.data[:, 1]
+
     labels = np.array([s.label for s in subjects], dtype=np.int64)
-    return threshold_metrics(np.concatenate(scores), labels)
+    return threshold_metrics(np.concatenate(map_chunks(score, len(subjects))), labels)
 
 
 # -- cross-validation ----------------------------------------------------------

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -404,6 +405,97 @@ def test_no_grad_blocks_taping():
     assert y.requires_grad is False
     y.backward()   # nothing recorded, so nothing propagates
     assert x.grad is None
+
+
+def test_no_grad_is_per_thread():
+    """A worker thread under ``no_grad`` leaves the main thread's tape
+    live, and nested ``no_grad`` restores each thread's own state."""
+    entered, recorded, done = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def worker():
+        with no_grad():
+            entered.set()
+            recorded.wait(10)
+            with no_grad():
+                pass
+            seen["inner"] = (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad
+        seen["outer"] = (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad
+        done.set()
+
+    t = threading.Thread(target=worker)
+    t.start()
+    assert entered.wait(10)
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
+    y = (x * 3.0).sum()
+    assert y.requires_grad
+    y.backward()
+    assert np.array_equal(x.grad, [3.0, 3.0])
+    with no_grad():
+        with no_grad():
+            pass
+        assert not (x * 2.0).requires_grad
+    assert (x * 2.0).requires_grad
+    recorded.set()
+    t.join(10)
+    assert done.is_set()
+    assert seen == {"inner": False, "outer": True}
+
+
+def test_no_grad_holds_per_thread_under_fast_thread_switching():
+    """Four threads toggle ``no_grad`` at a tiny switch interval; each sees
+    only its own switch (one global switch loses its restores here)."""
+    wrong = []
+
+    def toggle():
+        x = Tensor(np.ones(2), requires_grad=True)
+        for _ in range(300):
+            with no_grad():
+                if (x * 2.0).requires_grad:
+                    wrong.append("recorded under no_grad")
+            if not (x * 2.0).requires_grad:
+                wrong.append("not recorded outside no_grad")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=toggle) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_map_chunks_returns_chunks_in_order_from_two_lanes():
+    n = 3 * autograd.INFERENCE_CHUNK + 5  # four chunks, the last short
+    idents = []
+
+    def fn(chunk):
+        idents.append(threading.get_ident())
+        assert not (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad  # under no_grad
+        return np.arange(n)[chunk]
+
+    out = autograd.map_chunks(fn, n)
+    assert [len(c) for c in out] == [autograd.INFERENCE_CHUNK] * 3 + [5]
+    assert np.array_equal(np.concatenate(out), np.arange(n))
+    assert len(set(idents)) == 2 and threading.get_ident() in idents
+    assert (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad  # the caller's tape is live again
+
+
+def test_map_chunks_raises_the_error_of_the_worker_lane():
+    def fn(chunk):
+        if chunk.start == autograd.INFERENCE_CHUNK:  # the second chunk: the worker's
+            raise KeyError("odd chunk")
+        return chunk.start
+
+    threads = threading.active_count()
+    with pytest.raises(KeyError, match="odd chunk"):
+        autograd.map_chunks(fn, 4 * autograd.INFERENCE_CHUNK)
+    assert threading.active_count() == threads
 
 
 def test_straight_through_forward_and_backward():

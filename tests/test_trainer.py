@@ -7,13 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import trimodal
-from trimodal import autograd
+from trimodal import autograd, trainer
 from trimodal.encoders import EncoderConfig
 from trimodal.mmg import MmgConfig, MmgModel
 from trimodal.losses import LossConfig
@@ -306,7 +307,7 @@ def test_tail_average_is_the_mean_of_the_last_epochs_weights(small_subjects):
         assert v.tobytes() == want.tobytes(), k
 
 
-# Scores 2*64+3 subjects through the chunked generate_pet and
+# Scores 2*INFERENCE_CHUNK+3 subjects through the chunked generate_pet and
 # evaluate_fusion and through one-batch forwards kept here, in both heads;
 # prints the sha256 of each array as one JSON object.
 _CHUNKED_VS_ONE_BATCH = """
@@ -383,6 +384,37 @@ def test_evaluate_fusion_peak_memory_does_not_grow_with_the_cohort():
 
     small, large = peak(subjects[:64]), peak(subjects)
     assert large < 1.5 * small, f"peak {large} B on 256 subjects vs {small} B on 64"
+
+
+def test_evaluate_fusion_scores_in_two_lanes_and_one_chunk_inline(monkeypatch):
+    """At least two chunks: two distinct threads score.  One chunk: only
+    the caller's thread scores and no thread is started."""
+    subjects = _draw_subjects(CohortConfig(n_subjects=2 * autograd.INFERENCE_CHUNK + 1, volume_shape=(8, 8, 8),
+                                           missing_pet_rate=0.5, seed=3))
+    rng = np.random.default_rng(0)
+    bundle = FusionBundle(FusionModel(rng, EncoderConfig()),
+                          Standardizer().fit(clinical_matrix(subjects)), LossConfig(), [])
+    scorers = []
+    fusion_inputs = trainer._fusion_inputs
+    monkeypatch.setattr(trainer, "_fusion_inputs", lambda chunk, *a: scorers.append(
+        (threading.get_ident(), threading.active_count())) or fusion_inputs(chunk, *a))
+    threads = threading.active_count()
+
+    evaluate_fusion(bundle, subjects, _toy_generator(rng))
+    assert len(scorers) == 3
+    assert len({ident for ident, _ in scorers}) == 2
+    assert threading.get_ident() in {ident for ident, _ in scorers}
+
+    scorers.clear()
+    evaluate_fusion(bundle, subjects[:autograd.INFERENCE_CHUNK], _toy_generator(rng))
+    assert scorers == [(threading.get_ident(), threads)]
+
+
+def test_evaluate_fusion_rejects_an_empty_cohort():
+    bundle = FusionBundle(FusionModel(np.random.default_rng(0), EncoderConfig()),
+                          Standardizer(), LossConfig(), [])
+    with pytest.raises(ValueError, match="no subjects to score"):
+        evaluate_fusion(bundle, [])
 
 
 def test_evaluate_fusion_metric_row(small_subjects):
