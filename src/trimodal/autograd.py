@@ -5,19 +5,19 @@ see :mod:`trimodal.gradcheck`).  ``Tensor.backward`` replays the recorded
 rules in reverse creation order, which is a valid topological order
 because an op's inputs always exist before its output.
 
-Recording a node.  An op computes its forward value and one gradient rule
-per input, then hands both to ``_node(data, parents, rules)``: ``rules[i]``
-maps the output gradient ``g`` to input i's gradient.  Only when the tape
-is live (no ``no_grad`` in this thread and some input requires a
-gradient) does the output keep its parents and a backward that runs, for
-each input that requires a gradient, its rule and ``_accum``.  ``_accum``
-adopts a rule's result without a copy; it copies views, read-only arrays
-and ``g`` itself passed through, so no two gradients share a buffer.  ``nn.LayerNorm`` is
-recorded the same way.  Three ops record their node by hand with ``_make``
-and ``_accum``, because both of their input gradients share one
-intermediate that a rule per input would compute twice: ``conv3d`` and
-``conv_transpose3d`` (the output gradient on the phase grid) and
-``losses.sdm_loss`` (the gradient of the similarity matrix).
+Recording a node.  Every op, ``nn.LayerNorm`` and ``losses.sdm_loss``
+included, computes its forward value and one gradient rule per input, then
+hands both to ``_node(data, parents, rules, share=None)``: ``rules[i]`` maps
+the output gradient ``g`` to input i's gradient.  Only when the tape is
+live (no ``no_grad`` in this thread and some input requires a gradient)
+does the output keep its parents and a backward that runs, for each input
+that requires a gradient, its rule and ``_accum``.  ``_accum`` adopts a
+rule's result without a copy; it copies views, read-only arrays and the
+rule's own argument passed through, so no two gradients share a buffer.
+``share`` is for an intermediate that every input gradient starts from: the
+backward computes ``share(g)`` once and hands it to each rule in place of
+``g``.  The convolutions share the output gradient on the phase grid and
+``sdm_loss`` the gradient of the similarity matrix.
 
 Backward frees the graph as it replays it.  A rule never holds its own
 output tensor (the rules exist before it does), so a graph has no
@@ -332,16 +332,19 @@ def _make(data, parents):
     return out
 
 
-def _node(data, parents, rules):
+def _node(data, parents, rules, share=None):
     """Record ``data`` as an op output whose input i gets the gradient
-    ``rules[i](g)`` (see the module docstring)."""
+    ``rules[i](h)``, where ``h`` is ``share(g)`` computed once per backward,
+    or the output gradient ``g`` itself without ``share`` (see the module
+    docstring)."""
     out = _make(data, parents)
     if out._parents:
         def bwd(g):
+            h = g if share is None else share(g)
             for p, rule in zip(parents, rules):
                 if p.requires_grad:
-                    r = rule(g)
-                    _accum(p, r, r is not g)
+                    r = rule(h)
+                    _accum(p, r, r is not h)
         out._backward = bwd
     return out
 
@@ -351,16 +354,14 @@ def _freed(g):
     raise RuntimeError("backward() through a graph that an earlier backward() already freed")
 
 
-def _accum(t, g, fresh=True):
+def _accum(t, g, fresh):
     """Add gradient ``g`` into ``t.grad``.
 
     A fresh array, allocated by the caller, is adopted without a copy.
-    Views, read-only arrays and arrays the caller marks not fresh (an
-    output gradient passed through) are copied on first assignment, so
+    Views, read-only arrays and arrays the caller marks not fresh (a
+    rule's argument passed through) are copied on first assignment, so
     later in-place accumulation cannot alias another node's gradient.
     """
-    if not t.requires_grad:
-        return
     if t.grad is None:
         if fresh and g.base is None and g.flags.writeable:
             t.grad = g
@@ -623,18 +624,10 @@ def conv3d(x, kernel, stride=1, padding=0):
     xg = pg.to_fine(x.data, cols)
     kq = pg.kernel(kernel.data)
     y = pg.from_coarse(_corr(xg, kq, pg.offs, cols), (N, F) + pg.out)
-    out = _make(y, (x, kernel))
-    if out._parents:
-        def bwd(g, x=x, k=kernel, pg=pg, cols=cols, xg=xg, kq=kq):
-            gg = pg.to_coarse(g, cols)
-            if k.requires_grad:
-                gk = _wgrad(xg, gg[:, pg.lead:], pg.offs, cols)
-                _accum(k, pg.unkernel(gk, k.data.shape))
-            if x.requires_grad:
-                gx = _adjoint(gg, kq, pg.offs, cols)
-                _accum(x, pg.from_fine(gx, x.data.shape))
-        out._backward = bwd
-    return out
+    return _node(y, (x, kernel), (
+        lambda gg: pg.from_fine(_adjoint(gg, kq, pg.offs, cols), x.data.shape),
+        lambda gg: pg.unkernel(_wgrad(xg, gg[:, pg.lead:], pg.offs, cols), kernel.data.shape)),
+        share=lambda g: pg.to_coarse(g, cols))
 
 
 def conv_transpose3d(x, kernel, stride=1, padding=0):
@@ -663,15 +656,7 @@ def conv_transpose3d(x, kernel, stride=1, padding=0):
     xg = pg.to_coarse(x.data, cols)
     kq = pg.kernel(kernel.data)
     y = pg.from_fine(_adjoint(xg, kq, pg.offs, cols), (N, F, Do, Ho, Wo))
-    out = _make(y, (x, kernel))
-    if out._parents:
-        def bwd(g, x=x, k=kernel, pg=pg, cols=cols, xg=xg, kq=kq):
-            gg = pg.to_fine(g, cols)
-            if x.requires_grad:
-                gx = _corr(gg, kq, pg.offs, cols)
-                _accum(x, pg.from_coarse(gx, x.data.shape))
-            if k.requires_grad:
-                gk = _wgrad(gg, xg[:, pg.lead:], pg.offs, cols)
-                _accum(k, pg.unkernel(gk, k.data.shape))
-        out._backward = bwd
-    return out
+    return _node(y, (x, kernel), (
+        lambda gg: pg.from_coarse(_corr(gg, kq, pg.offs, cols), x.data.shape),
+        lambda gg: pg.unkernel(_wgrad(gg, xg[:, pg.lead:], pg.offs, cols), kernel.data.shape)),
+        share=lambda g: pg.to_fine(g, cols))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, _accum, _make
+from .autograd import Tensor, _node
 
 
 @dataclass
@@ -117,20 +117,17 @@ def sdm_loss(feat_a, feat_b, labels, cfg: LossConfig):
     sim = a_hat @ b_hat.T
     p_ab, r_ab, kl_ab = _softmax_kl_rows(sim, log_q, cfg.tau)
     p_ba, r_ba, kl_ba = _softmax_kl_rows(sim.T, log_q, cfg.tau)
-    out = _make((kl_ab.mean() + kl_ba.mean()) * 0.5, (feat_a, feat_b))
-    if out._parents:
-        def bwd(g, a=feat_a, b=feat_b):
-            # d/dsim of 0.5 * (mean_i KL_i(ab) + mean_j KL_j(ba)): each
-            # softmax row contributes p * (r - sum(p * r)), r = log p - log q.
-            d_ab = p_ab * (r_ab - (p_ab * r_ab).sum(axis=1, keepdims=True))
-            d_ba = p_ba * (r_ba - (p_ba * r_ba).sum(axis=1, keepdims=True))
-            d_sim = (d_ab + d_ba.T) * (g * (0.5 / (n * cfg.tau)))
-            if a.requires_grad:
-                _accum(a, _unit_rows_grad(d_sim @ b_hat, a_hat, a_norm))
-            if b.requires_grad:
-                _accum(b, _unit_rows_grad(d_sim.T @ a_hat, b_hat, b_norm))
-        out._backward = bwd
-    return out
+
+    def d_sim(g):
+        # d/dsim of 0.5 * (mean_i KL_i(ab) + mean_j KL_j(ba)): each
+        # softmax row contributes p * (r - sum(p * r)), r = log p - log q.
+        d_ab = p_ab * (r_ab - (p_ab * r_ab).sum(axis=1, keepdims=True))
+        d_ba = p_ba * (r_ba - (p_ba * r_ba).sum(axis=1, keepdims=True))
+        return (d_ab + d_ba.T) * (g * (0.5 / (n * cfg.tau)))
+
+    return _node((kl_ab.mean() + kl_ba.mean()) * 0.5, (feat_a, feat_b), (
+        lambda d: _unit_rows_grad(d @ b_hat, a_hat, a_norm),
+        lambda d: _unit_rows_grad(d.T @ a_hat, b_hat, b_norm)), share=d_sim)
 
 
 def _unit_rows(x):

@@ -225,6 +225,20 @@ def test_conv_phases_its_kernel_once_per_forward_and_backward(rng, monkeypatch, 
     assert len(calls) == 1 and x.grad is not None and k.grad is not None
 
 
+@pytest.mark.parametrize("op, kshape, grid", [(conv3d, (3, 2, 4, 4, 4), "to_coarse"),
+                                               (conv_transpose3d, (2, 3, 4, 4, 4), "to_fine")])
+def test_conv_backward_puts_the_output_gradient_on_the_grid_once(rng, monkeypatch, op, kshape, grid):
+    """Both input gradients start from one gridded output gradient."""
+    x = Tensor(rng.standard_normal((2, 2, 4, 4, 4)).astype(np.float32), requires_grad=True)
+    k = Tensor(rng.standard_normal(kshape).astype(np.float32), requires_grad=True)
+    loss = op(x, k, stride=2, padding=1).sum()
+    calls = []
+    to_grid = getattr(autograd._PhaseGrid, grid)
+    monkeypatch.setattr(autograd._PhaseGrid, grid, lambda pg, a, cols: calls.append(1) or to_grid(pg, a, cols))
+    loss.backward()
+    assert len(calls) == 1 and x.grad is not None and k.grad is not None
+
+
 # -- gradient checks -----------------------------------------------------------
 
 
@@ -553,6 +567,27 @@ def test_backward_frees_non_leaf_grads_and_keeps_leaf_grads(rng):
     assert np.array_equal(x.grad, np.exp(x.data * w.data) * w.data)
     assert np.array_equal(w.grad, np.exp(x.data * w.data) * x.data)
     assert np.array_equal(e.data, np.exp(x.data * w.data))  # forward values stay
+
+
+def test_node_share_runs_once_and_feeds_every_rule():
+    a = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    b = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    shared, seen = [], []
+
+    def share(g):
+        shared.append(g)
+        return g * 2.0
+
+    rules = (lambda h: seen.append(h) or h + 1.0, lambda h: seen.append(h) or h * 3.0)
+    autograd._node(np.zeros(3), (a, b), rules, share=share).sum().backward()
+    assert len(shared) == 1 and len(seen) == 2
+    assert seen[0] is seen[1] and np.array_equal(seen[0], shared[0] * 2.0)
+    assert np.array_equal(a.grad, [3.0, 3.0, 3.0]) and np.array_equal(b.grad, [6.0, 6.0, 6.0])
+
+    seen.clear()
+    y = autograd._node(np.zeros(3), (a, b), rules)
+    (y * 5.0).sum().backward()
+    assert len(seen) == 2 and seen[0] is seen[1] and np.array_equal(seen[0], [5.0, 5.0, 5.0])
 
 
 def test_second_backward_through_freed_nodes_raises(rng):

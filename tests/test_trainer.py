@@ -111,6 +111,19 @@ def test_adam_nan_error_names_the_parameter_among_several():
         Adam(params, lr=0.1).step()
 
 
+def test_adam_rejects_infinite_gradient_and_changes_nothing():
+    p = Parameter(np.array([1.0, 2.0], dtype=np.float32))
+    opt = Adam([("w", p)], lr=0.1)
+    p.grad = np.ones(2, dtype=np.float32)
+    opt.step()
+    data, m, v = p.data.copy(), opt.m.copy(), opt.v.copy()
+    p.grad = np.array([np.inf, 1.0], dtype=np.float32)
+    with pytest.raises(OptimizerNaNError, match="'w'"):
+        opt.step()
+    assert p.data.tobytes() == data.tobytes()
+    assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes() and opt.t == 1
+
+
 def test_adam_rejects_bad_lr():
     with pytest.raises(ValueError):
         Adam([], lr=0.0)
@@ -512,6 +525,18 @@ def test_run_cv_is_reproducible(small_subjects):
     r1 = run_cv(small_subjects, cfg)
     r2 = run_cv(small_subjects, cfg)
     assert r1 == r2
+
+
+def test_fold_pool_workers_use_one_blas_thread(monkeypatch):
+    """Workers read 1 for each BLAS thread variable, whether the caller
+    left it unset or set it; the caller's environment is restored."""
+    blas = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    monkeypatch.delenv(blas[0], raising=False)
+    monkeypatch.setenv(blas[1], "2")
+    monkeypatch.delenv(blas[2], raising=False)
+    with trainer._fold_pool(1) as pool:
+        assert pool.map(os.getenv, blas) == ["1", "1", "1"]
+    assert [os.getenv(name) for name in blas] == [None, "2", None]
 
 
 def test_training_leaves_no_cyclic_garbage(small_subjects):
