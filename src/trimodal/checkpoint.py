@@ -43,7 +43,10 @@ def _meta_from_payload(arr):
     (n,) = struct.unpack_from("<I", body, 0)
     if 4 + n > len(body):
         raise CheckpointError("metadata record truncated")
-    return json.loads(body[4:4 + n].decode("utf-8"))
+    try:
+        return json.loads(body[4:4 + n].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"malformed metadata record: {e}") from None
 
 
 def save_checkpoint(path, tensors, meta=None):
@@ -89,6 +92,7 @@ def _parse(blob):
     off += 4
     tensors = {}
     meta = None
+    seen = set()
     for _ in range(count):
         (nlen,) = struct.unpack_from("<I", blob, off)
         off += 4
@@ -104,6 +108,9 @@ def _parse(blob):
             raise CheckpointError(f"truncated payload for tensor {name!r}")
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims).copy()
         off += nbytes
+        if name in seen:
+            raise CheckpointError(f"duplicate entry {name!r}")
+        seen.add(name)
         if name == META_KEY:
             meta = _meta_from_payload(arr)
         else:

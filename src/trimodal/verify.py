@@ -15,7 +15,7 @@ import numpy as np
 
 from . import losses, metrics, mmg, synthdata
 from .autograd import Tensor, concat, conv3d, conv_transpose3d, gather_rows, \
-    global_avg_pool, matmul, softmax
+    global_avg_pool, matmul, no_grad, softmax
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoders import EncoderConfig, ModalityEncoders, SelfAttention
 from .fusion import CoAttention
@@ -45,6 +45,18 @@ def _expect_grad(build, x0, tol, **kw):
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _stacked(forward, loss):
+    """``values`` for a check whose function is ``loss(*forward(t))``, where
+    ``forward`` maps each sample of ``t`` on its own: one forward over the
+    whole probe stack, then each probe's loss from its own rows."""
+    def values(stack):
+        copies, n = stack.shape[:2]
+        with no_grad():
+            outs = forward(Tensor(stack.reshape(copies * n, *stack.shape[2:]), dtype=np.float64))
+            return [loss(*(o[i * n:(i + 1) * n] for o in outs)).item() for i in range(copies)]
+    return values
 
 
 # -- gradient checks: primitives -------------------------------------------------
@@ -111,9 +123,13 @@ def check_grad_conv3d():
     x = r.normal(size=(2, 2, 6, 6, 6))
     k = r.normal(size=(3, 2, 3, 3, 3))
     x_odd = r.normal(size=(1, 2, 5, 5, 5))  # stride 2 leaves an edge row unread
+    def forward(t):
+        return (conv3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1),)
+
     for seed, vol in ((0, x), (4, x_odd)):
         _expect_grad(lambda t: conv3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1).square().sum(),
-                     vol, PRIMITIVE_TOL, rng=_rng(seed), sample=24)
+                     vol, PRIMITIVE_TOL, rng=_rng(seed), sample=24,
+                     values=_stacked(forward, lambda y: y.square().sum()))
         _expect_grad(lambda t: conv3d(Tensor(vol, dtype=np.float64), t, stride=2, padding=1).square().sum(),
                      k, PRIMITIVE_TOL, rng=_rng(seed + 1), sample=24)
 
@@ -122,8 +138,12 @@ def check_grad_conv_transpose3d():
     r = _rng(19)
     x = r.normal(size=(2, 3, 3, 3, 3))
     k = r.normal(size=(3, 2, 4, 4, 4))
+    def forward(t):
+        return (conv_transpose3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1),)
+
     _expect_grad(lambda t: conv_transpose3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1).square().sum(),
-                 x, PRIMITIVE_TOL, rng=_rng(2), sample=24)
+                 x, PRIMITIVE_TOL, rng=_rng(2), sample=24,
+                 values=_stacked(forward, lambda y: y.square().sum()))
     _expect_grad(lambda t: conv_transpose3d(Tensor(x, dtype=np.float64), t, stride=2, padding=1).square().sum(),
                  k, PRIMITIVE_TOL, rng=_rng(3), sample=24)
 
@@ -131,7 +151,8 @@ def check_grad_conv_transpose3d():
 def check_grad_pooling():
     r = _rng(20)
     x = r.normal(size=(2, 2, 4, 4, 4))
-    _expect_grad(lambda t: global_avg_pool(t).square().sum(), x, PRIMITIVE_TOL, rng=_rng(6), sample=24)
+    _expect_grad(lambda t: global_avg_pool(t).square().sum(), x, PRIMITIVE_TOL, rng=_rng(6), sample=24,
+                 values=_stacked(lambda t: (global_avg_pool(t),), lambda y: y.square().sum()))
 
 
 def check_grad_gather_rows():
@@ -192,7 +213,22 @@ def check_grad_composite_mmg_loss():
         adv = mmg.adversarial_gen_loss(model.disc(y_gen))
         return l1 * 1.0 + commit * 0.25 + per * 0.1 + adv * 0.01
 
-    _expect_grad(build, x0, COMPOSITE_TOL, rng=_rng(7), sample=20)
+    with no_grad():
+        f_true = model.perceptual(Tensor(y, dtype=np.float64))
+
+    def forward(t):
+        z_hat = model.encode(t)
+        y_gen = model.decode(z_hat)
+        return z_hat, y_gen, model.perceptual(y_gen), model.disc(y_gen)
+
+    def loss(z_hat, y_gen, f_gen, scores):
+        l1 = (y_gen - Tensor(y, dtype=np.float64)).abs().mean()
+        commit = (z_hat - Tensor(anchor, dtype=np.float64)).square().mean()
+        per = (f_gen - f_true).square().mean()
+        adv = mmg.adversarial_gen_loss(scores)
+        return l1 * 1.0 + commit * 0.25 + per * 0.1 + adv * 0.01
+
+    _expect_grad(build, x0, COMPOSITE_TOL, rng=_rng(7), sample=20, values=_stacked(forward, loss))
 
 
 def check_grad_quantization_loss():
@@ -251,7 +287,17 @@ def check_grad_composite_fusion():
         _, probs = head(f_m, f_p, f_c)
         return losses.focal_loss(probs, y, lcfg)
 
-    _expect_grad(build, mri0, COMPOSITE_TOL, rng=_rng(8), sample=20)
+    with no_grad():
+        f_p = enc.attn_pet(enc.pet(pet)).data
+        f_c = enc.attn_clin(enc.clin(clin)).data
+
+    def forward(t):
+        copies = len(t.data) // len(y)
+        tiled = (Tensor(np.tile(f, (copies, 1, 1)), dtype=np.float64) for f in (f_p, f_c))
+        return (head(enc.attn_mri(enc.mri(t)), *tiled)[1],)
+
+    _expect_grad(build, mri0, COMPOSITE_TOL, rng=_rng(8), sample=20,
+                 values=_stacked(forward, lambda probs: losses.focal_loss(probs, y, lcfg)))
 
 
 def check_grad_sdm():
@@ -273,12 +319,12 @@ def check_oracle_quantize_bruteforce():
     _, idx = mmg.quantize(z, book)
     flat = np.moveaxis(z.data, 1, -1).reshape(-1, 6)
     codes = book.codes.data.astype(np.float64)
-    for pos in range(flat.shape[0]):  # 100 positions
-        dists = [float(((flat[pos].astype(np.float64) - codes[m]) ** 2).sum())
-                 for m in range(16)]
-        best = int(np.argmin(dists))
-        _expect(best == idx.reshape(-1)[pos],
-                f"position {pos}: oracle {best} != quantize {idx.reshape(-1)[pos]}")
+    # every (position, code) squared distance: [100 positions, 16 codes]
+    dists = ((flat.astype(np.float64)[:, None, :] - codes[None, :, :]) ** 2).sum(axis=-1)
+    best = np.argmin(dists, axis=1)  # ties go to the lowest index, as in quantize
+    got = idx.reshape(-1)
+    pos = int(np.argmax(best != got))  # the first mismatch, if there is one
+    _expect(best[pos] == got[pos], f"position {pos}: oracle {best[pos]} != quantize {got[pos]}")
 
 
 def check_oracle_conv3d_naive():

@@ -118,3 +118,29 @@ def test_state_checksums_detect_permutation(sample_state):
     assert after["deep"] != before["deep"]
     assert {k: v for k, v in after.items() if k != "deep"} == {
         k: v for k, v in before.items() if k != "deep"}
+
+
+def test_corrupt_metadata_json_rejected(tmp_path, sample_state):
+    path = tmp_path / "j.ckpt"
+    save_checkpoint(path, sample_state, meta={"seed": 7})
+    blob = path.read_bytes()
+    assert blob.count(b'{"seed":7}') == 1
+    path.write_bytes(blob.replace(b'{"seed":7}', b'{"seed":7]'))  # same length, not JSON
+    with pytest.raises(CheckpointError, match="metadata"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("tensors,meta,name", [
+    ({"enc.weight": np.ones((2, 3), dtype=np.float32)}, None, "enc.weight"),
+    ({}, {"seed": 7}, "__meta__"),
+], ids=["tensor", "meta"])
+def test_duplicate_entry_rejected(tmp_path, tensors, meta, name):
+    """A file that names one entry twice would load its last copy silently."""
+    path = tmp_path / "d.ckpt"
+    save_checkpoint(path, tensors, meta=meta)
+    blob = path.read_bytes()
+    assert int.from_bytes(blob[8:12], "little") == 1
+    entry = blob[12:]
+    path.write_bytes(blob[:8] + (2).to_bytes(4, "little") + entry + entry)
+    with pytest.raises(CheckpointError, match=f"duplicate entry '{name}'"):
+        load_checkpoint(path)

@@ -2,7 +2,10 @@
 never run, in the tests, in ``trimodal verify`` or in the benchmark's
 set-up gate."""
 
+import copy
 import inspect
+
+import pytest
 
 from trimodal import verify
 
@@ -15,3 +18,39 @@ def test_every_check_function_is_registered_once_under_a_unique_name():
     assert len(set(names)) == len(names), "duplicate check names"
     assert sorted(fn.__name__ for _, fn in verify.ALL_CHECKS) == defined
     assert all(getattr(verify, fn.__name__) is fn for _, fn in verify.ALL_CHECKS)
+
+
+# The gradient checks that hand ``check_grad`` a stacked ``values``
+# evaluator, found in their source.
+STACKED = [(name, fn) for name, fn in verify.ALL_CHECKS
+           if name.startswith("grad/") and "values=" in inspect.getsource(fn)]
+
+
+def test_the_composite_checks_evaluate_their_probes_stacked():
+    names = [name for name, _ in STACKED]
+    assert "grad/composite-mmg-loss" in names
+    assert "grad/composite-fusion-focal" in names
+
+
+@pytest.mark.parametrize("fn", [fn for _, fn in STACKED], ids=[name for name, _ in STACKED])
+def test_stacked_values_equal_the_per_probe_loop_bit_for_bit(monkeypatch, fn):
+    """Each ``values`` must give the numeric gradient that running its
+    ``build`` once per probe gives, from the same sampled entries."""
+    real = verify.check_grad
+    compared = []
+
+    def twin(build, x0, rng=None, sample=None, values=None):
+        if values is None:
+            return real(build, x0, rng=rng, sample=sample)
+        state = copy.deepcopy(rng.bit_generator.state) if rng is not None else None
+        out = real(build, x0, rng=rng, sample=sample, values=values)
+        if rng is not None:
+            rng.bit_generator.state = state
+        loop = real(build, x0, rng=rng, sample=sample)
+        assert out[2].tobytes() == loop[2].tobytes(), "stacked and looped numeric gradients differ"
+        compared.append(build)
+        return out
+
+    monkeypatch.setattr(verify, "check_grad", twin)
+    fn()
+    assert compared, "the check passed no values"
