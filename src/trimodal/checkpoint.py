@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -102,7 +103,7 @@ def _parse(blob):
         off += 4
         dims = struct.unpack_from(f"<{rank}I", blob, off)
         off += 4 * rank
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        n = math.prod(dims)
         nbytes = 4 * n
         if off + nbytes > len(blob):
             raise CheckpointError(f"truncated payload for tensor {name!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor, global_avg_pool, matmul, softmax
-from .nn import LayerNorm, Linear, Module
+from .nn import Conv3d, LayerNorm, Linear, Module, run_stack, stack
 
 
 @dataclass
@@ -47,20 +47,14 @@ class ImageEncoder(Module):
     global average pool, linear to d, reshaped to a token sequence."""
 
     def __init__(self, rng, cfg: EncoderConfig):
-        from .nn import Conv3d
-
         self.cfg = cfg
-        self.c1 = Conv3d(rng, 1, 8, 4, stride=2, padding=1)
-        self.c2 = Conv3d(rng, 8, 16, 4, stride=2, padding=1)
-        self.c3 = Conv3d(rng, 16, 32, 4, stride=2, padding=1)
+        self.c1, self.c2, self.c3 = stack(rng, Conv3d, (1, 8, 16, 32), 4)
         self.proj = Linear(rng, 32, cfg.d)
 
     def forward(self, x):
         if x.data.ndim != 5:
             raise ValueError(f"expected [N,1,D,H,W], got {x.data.shape}")
-        h = self.c1(x).relu()
-        h = self.c2(h).relu()
-        h = self.c3(h).relu()
+        h = run_stack((self.c1, self.c2, self.c3), x, Tensor.relu).relu()
         f = self.proj(global_avg_pool(h))
         n = f.data.shape[0]
         return f.reshape(n, self.cfg.tokens, self.cfg.d_tok)
@@ -71,13 +65,12 @@ class TabularEncoder(Module):
 
     def __init__(self, rng, cfg: EncoderConfig):
         self.cfg = cfg
-        self.fc1 = Linear(rng, cfg.n_clinical, 64)
-        self.fc2 = Linear(rng, 64, cfg.d)
+        self.fc1, self.fc2 = stack(rng, Linear, (cfg.n_clinical, 64, cfg.d))
 
     def forward(self, x):
         if x.data.ndim != 2 or x.data.shape[1] != self.cfg.n_clinical:
             raise ValueError(f"expected [N,{self.cfg.n_clinical}], got {x.data.shape}")
-        f = self.fc2(self.fc1(x).relu())
+        f = run_stack((self.fc1, self.fc2), x, Tensor.relu)
         n = f.data.shape[0]
         return f.reshape(n, self.cfg.tokens, self.cfg.d_tok)
 

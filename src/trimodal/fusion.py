@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .autograd import concat, matmul, softmax
-from .nn import Linear, Module
+from .autograd import Tensor, concat, matmul, softmax
+from .nn import Linear, Module, run_stack, stack
 from .encoders import EncoderConfig, pool_tokens
 
 
@@ -74,14 +74,13 @@ class Classifier(Module):
 
     def __init__(self, rng, in_features):
         self.in_features = in_features
-        self.fc1 = Linear(rng, in_features, 64)
-        self.fc2 = Linear(rng, 64, 2)
+        self.fc1, self.fc2 = stack(rng, Linear, (in_features, 64, 2))
 
     def forward(self, f_global):
         if f_global.data.ndim != 2 or f_global.data.shape[1] != self.in_features:
             raise ValueError(
                 f"classifier expects [N,{self.in_features}], got {f_global.data.shape}")
-        logits = self.fc2(self.fc1(f_global).relu())
+        logits = run_stack((self.fc1, self.fc2), f_global, Tensor.relu)
         return logits, softmax(logits, axis=-1)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor, gather_rows, map_chunks, straight_through
-from .nn import Conv3d, ConvTranspose3d, Module, Parameter
+from .nn import Conv3d, ConvTranspose3d, Module, Parameter, run_stack, stack
 
 
 @dataclass
@@ -148,26 +148,18 @@ class MmgModel(Module):
             if dim % 8:
                 raise ValueError(f"volume dims must be divisible by 8, got {self.volume_shape}")
         dc = cfg.d_code
-        self.enc1 = Conv3d(rng, 1, 16, 4, stride=2, padding=1)
-        self.enc2 = Conv3d(rng, 16, 32, 4, stride=2, padding=1)
-        self.enc3 = Conv3d(rng, 32, dc, 4, stride=2, padding=1)
+        self.enc1, self.enc2, self.enc3 = stack(rng, Conv3d, (1, 16, 32, dc), 4)
         self.codebook = Codebook(rng, cfg.codebook_size, dc)
-        self.dec1 = ConvTranspose3d(rng, dc, 32, 4, stride=2, padding=1)
-        self.dec2 = ConvTranspose3d(rng, 32, 16, 4, stride=2, padding=1)
-        self.dec3 = ConvTranspose3d(rng, 16, 1, 4, stride=2, padding=1)
+        self.dec1, self.dec2, self.dec3 = stack(rng, ConvTranspose3d, (dc, 32, 16, 1), 4)
         self.disc = PatchDiscriminator(rng)
         self.perceptual = PerceptualNet(rng)
         self.calib = OutputCalibration()
 
     def encode(self, x):
-        h = self.enc1(x).relu()
-        h = self.enc2(h).relu()
-        return self.enc3(h)
+        return run_stack((self.enc1, self.enc2, self.enc3), x, Tensor.relu)
 
     def decode(self, z_q):
-        h = self.dec1(z_q).relu()
-        h = self.dec2(h).relu()
-        return self.dec3(h)
+        return run_stack((self.dec1, self.dec2, self.dec3), z_q, Tensor.relu)
 
     def generator_parameters(self):
         """Everything the generator step updates (encoder, codebook, decoder)."""
@@ -193,14 +185,10 @@ class PatchDiscriminator(Module):
     """3 stride-2 convs with leaky-relu; emits a grid of patch scores."""
 
     def __init__(self, rng):
-        self.c1 = Conv3d(rng, 1, 16, 4, stride=2, padding=1)
-        self.c2 = Conv3d(rng, 16, 32, 4, stride=2, padding=1)
-        self.c3 = Conv3d(rng, 32, 1, 4, stride=2, padding=1)
+        self.c1, self.c2, self.c3 = stack(rng, Conv3d, (1, 16, 32, 1), 4)
 
     def forward(self, x):
-        h = self.c1(x).leaky_relu(0.2)
-        h = self.c2(h).leaky_relu(0.2)
-        return self.c3(h)
+        return run_stack((self.c1, self.c2, self.c3), x, lambda h: h.leaky_relu(0.2))
 
     def set_trainable(self, flag):
         for p in self.parameters():
@@ -211,16 +199,12 @@ class PerceptualNet(Module):
     """Frozen random 3-layer conv feature extractor for the perceptual term."""
 
     def __init__(self, rng):
-        self.c1 = Conv3d(rng, 1, 8, 3, stride=2, padding=1)
-        self.c2 = Conv3d(rng, 8, 16, 3, stride=2, padding=1)
-        self.c3 = Conv3d(rng, 16, 16, 3, stride=2, padding=1)
+        self.c1, self.c2, self.c3 = stack(rng, Conv3d, (1, 8, 16, 16), 3)
         for p in self.parameters():
             p.requires_grad = False
 
     def forward(self, x):
-        h = self.c1(x).relu()
-        h = self.c2(h).relu()
-        return self.c3(h)
+        return run_stack((self.c1, self.c2, self.c3), x, Tensor.relu)
 
 
 def perceptual_loss(net: PerceptualNet, y_true, y_gen):

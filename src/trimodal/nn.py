@@ -51,8 +51,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         out.extend(item.named_parameters(prefix=f"{full}.{i}."))
-                    elif isinstance(item, Parameter):
-                        out.append((f"{full}.{i}", item))
         return out
 
     def state_dict(self):
@@ -92,14 +90,14 @@ class Linear(Module):
 
 
 class Conv3d(Module):
-    """3-d convolution layer, kernel [out_ch, in_ch, k, k, k]."""
+    """3-d convolution layer, stride 2 and padding 1, kernel [out_ch, in_ch, k, k, k]."""
 
-    def __init__(self, rng, in_ch, out_ch, k, stride=1, padding=0):
+    stride, padding = 2, 1
+
+    def __init__(self, rng, in_ch, out_ch, k):
         fan_in = in_ch * k ** 3
         self.weight = Parameter(kaiming_uniform(rng, (out_ch, in_ch, k, k, k), fan_in))
         self.bias = Parameter(bias_uniform(rng, out_ch, fan_in))
-        self.stride = stride
-        self.padding = padding
 
     def forward(self, x):
         y = conv3d(x, self.weight, stride=self.stride, padding=self.padding)
@@ -107,18 +105,31 @@ class Conv3d(Module):
 
 
 class ConvTranspose3d(Module):
-    """Transposed 3-d convolution layer, kernel [in_ch, out_ch, k, k, k]."""
+    """Transposed 3-d convolution layer, stride 2 and padding 1, kernel [in_ch, out_ch, k, k, k]."""
 
-    def __init__(self, rng, in_ch, out_ch, k, stride=1, padding=0):
+    stride, padding = 2, 1
+
+    def __init__(self, rng, in_ch, out_ch, k):
         fan_in = in_ch * k ** 3
         self.weight = Parameter(kaiming_uniform(rng, (in_ch, out_ch, k, k, k), fan_in))
         self.bias = Parameter(bias_uniform(rng, out_ch, fan_in))
-        self.stride = stride
-        self.padding = padding
 
     def forward(self, x):
         y = conv_transpose3d(x, self.weight, stride=self.stride, padding=self.padding)
         return y + self.bias.reshape(1, -1, 1, 1, 1)
+
+
+def stack(rng, layer, widths, *args):
+    """``layer(rng, a, b, *args)`` for each consecutive width pair, built in
+    order (so the RNG draws follow the widths)."""
+    return [layer(rng, a, b, *args) for a, b in zip(widths, widths[1:])]
+
+
+def run_stack(layers, x, act):
+    """Apply ``layers`` in turn, with ``act`` after every layer but the last."""
+    for layer in layers[:-1]:
+        x = act(layer(x))
+    return layers[-1](x)
 
 
 class LayerNorm(Module):

@@ -324,6 +324,8 @@ def load_manifest(cohort_dir):
             raise ValueError(f"manifest columns {header} != expected {MANIFEST_COLUMNS}")
         rows = []
         for raw in rd:
+            if len(raw) != len(header):
+                raise ValueError(f"{path} line {rd.line_num}: {len(raw)} fields, expected {len(header)}")
             rec = dict(zip(header, raw))
             rec["label"] = int(rec["label"])
             rec["has_pet"] = int(rec["has_pet"])

@@ -206,8 +206,7 @@ def train_mmg(subjects, cfg: TrainConfig, *, seed_seq=None, out_dir=None, config
     y_all = np.stack([s.pet for s in complete])[:, None]
 
     opt_gen = Adam(model.generator_parameters(), cfg.lr)
-    opt_disc = Adam([(n, p) for n, p in model.named_parameters() if n.startswith("disc.")],
-                    cfg.lr)
+    opt_disc = Adam(model.disc.named_parameters(prefix="disc."), cfg.lr)
     shuffle_rng = _rng(ss_shuffle)
     reseed_rng = _rng(ss_reseed)
 

@@ -1,6 +1,8 @@
 """Checkpoint container tests: bitwise roundtrip, corruption detection,
 and the checksum helper used for freeze verification."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -143,4 +145,17 @@ def test_duplicate_entry_rejected(tmp_path, tensors, meta, name):
     entry = blob[12:]
     path.write_bytes(blob[:8] + (2).to_bytes(4, "little") + entry + entry)
     with pytest.raises(CheckpointError, match=f"duplicate entry '{name}'"):
+        load_checkpoint(path)
+
+
+def test_element_count_overflowing_int64_rejected(tmp_path):
+    """Dims whose product is 2**64 wrapped to 0 elements in int64 arithmetic,
+    and the loader then failed inside a reshape instead of naming the entry."""
+    path = tmp_path / "o.ckpt"
+    save_checkpoint(path, {"w": np.ones(1, dtype=np.float32)})
+    blob = path.read_bytes()
+    header = blob[:12] + blob[12:17]  # magic, version, count, then name "w"
+    dims = struct.pack("<4I", 3, 2 ** 21, 2 ** 21, 2 ** 22)
+    path.write_bytes(header + dims)
+    with pytest.raises(CheckpointError, match="truncated payload for tensor 'w'"):
         load_checkpoint(path)

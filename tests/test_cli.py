@@ -105,6 +105,17 @@ def test_explicit_cohort_without_manifest_exits_3(fast_config, tmp_path, capsys)
     assert not absent.exists()
 
 
+def test_cohort_with_short_manifest_row_exits_2(fast_config, small_cohort_dir, tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    lines = (small_cohort_dir / "manifest.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    (cohort / "manifest.csv").write_text("\n".join(lines) + "\n")
+    code = main(["cv", "--config", fast_config, "--cohort", str(cohort), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -130,6 +130,17 @@ def test_load_cohort_inverts_generation(small_cohort_dir, small_subjects):
     assert all(s.pet is None for s in small_subjects if not s.has_pet)
 
 
+@pytest.mark.parametrize("edit", [lambda f: f[:-1], lambda f: f + ["extra"]], ids=["short", "long"])
+def test_manifest_row_of_wrong_length_rejected(small_cohort_dir, tmp_path, edit):
+    """A short row used to fail on a missing key, a long one to load silently."""
+    lines = (small_cohort_dir / "manifest.csv").read_text().splitlines()
+    lines[3] = ",".join(edit(lines[3].split(",")))
+    (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 4: {len(edit(MANIFEST_COLUMNS))} fields, "
+                                         f"expected {len(MANIFEST_COLUMNS)}"):
+        load_manifest(str(tmp_path))
+
+
 def test_clinical_matrix_shape_and_order(small_subjects):
     X = clinical_matrix(small_subjects)
     assert X.shape == (len(small_subjects), 7)

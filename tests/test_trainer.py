@@ -3,6 +3,7 @@ frozen-generator contract, fold hygiene, and report structure."""
 
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -40,6 +41,27 @@ from trimodal.trainer import (
 from trimodal.checkpoint import state_checksums
 
 from conftest import fast_train_config
+
+
+# -- parameter names -------------------------------------------------------
+
+# sha256 of one "name:shape" line per parameter, in named_parameters order.
+# Checkpoints are keyed by these names, so a renamed or reordered layer
+# breaks every saved .itck; unlike the byte digests this holds on any build.
+_PARAMETER_LAYOUTS = {
+    "mmg": "d67b2a85f890c44f1bf3674b9573a9d11dd2c7bd3319a753f99b4c67cc055aec",
+    "tcaf": "068185d914c6fd6ecaa4a597b5e162d7f89b22666b811634f75059d20cb18ea2",
+    "concat": "9277fae216e8622bf9eafda070b4a367c2d32af83cefe978418adfbd97cae0ac",
+}
+
+
+@pytest.mark.parametrize("which", sorted(_PARAMETER_LAYOUTS))
+def test_parameter_names_and_shapes_are_pinned(which):
+    rng = np.random.default_rng(0)
+    model = (MmgModel(rng, MmgConfig()) if which == "mmg"
+             else FusionModel(rng, EncoderConfig(), use_tcaf=which == "tcaf"))
+    lines = "".join(f"{n}:{p.data.shape}\n" for n, p in model.named_parameters())
+    assert hashlib.sha256(lines.encode()).hexdigest() == _PARAMETER_LAYOUTS[which]
 
 
 # -- optimizer -------------------------------------------------------------
