@@ -610,8 +610,8 @@ def conv3d(x, kernel, stride=1, padding=0):
     if x.data.ndim != 5 or kernel.data.ndim != 5:
         raise ValueError(
             f"conv3d expects input [N,C,D,H,W] and kernel [F,C,kd,kh,kw], got {x.data.shape} and {kernel.data.shape}")
-    if stride < 1:
-        raise ValueError(f"conv3d stride must be >= 1, got {stride}")
+    if stride < 1 or padding < 0:
+        raise ValueError(f"conv3d needs stride >= 1 and padding >= 0, got stride {stride}, padding {padding}")
     N, C, D, H, W = x.data.shape
     F, Ck, kd, kh, kw = kernel.data.shape
     if Ck != C:
@@ -639,8 +639,8 @@ def conv_transpose3d(x, kernel, stride=1, padding=0):
     if x.data.ndim != 5 or kernel.data.ndim != 5:
         raise ValueError(
             f"conv_transpose3d expects input [N,C,d,h,w] and kernel [C,F,kd,kh,kw], got {x.data.shape} and {kernel.data.shape}")
-    if stride < 1:
-        raise ValueError(f"conv_transpose3d stride must be >= 1, got {stride}")
+    if stride < 1 or padding < 0:
+        raise ValueError(f"conv_transpose3d needs stride >= 1 and padding >= 0, got stride {stride}, padding {padding}")
     N, C, D, H, W = x.data.shape
     Ck, F, kd, kh, kw = kernel.data.shape
     if Ck != C:

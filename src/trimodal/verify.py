@@ -37,26 +37,14 @@ def _expect(cond, detail):
         raise CheckFailure(detail)
 
 
-def _expect_grad(build, x0, tol, **kw):
-    err, _, _ = check_grad(build, x0, **kw)
+def _expect_grad(loss, x0, tol, **kw):
+    err, _, _ = check_grad(loss, x0, **kw)
     _expect(err < tol, f"rel error {err:.3e} >= {tol}")
     return err
 
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def _stacked(forward, loss):
-    """``values`` for a check whose function is ``loss(*forward(t))``, where
-    ``forward`` maps each sample of ``t`` on its own: one forward over the
-    whole probe stack, then each probe's loss from its own rows."""
-    def values(stack):
-        copies, n = stack.shape[:2]
-        with no_grad():
-            outs = forward(Tensor(stack.reshape(copies * n, *stack.shape[2:]), dtype=np.float64))
-            return [loss(*(o[i * n:(i + 1) * n] for o in outs)).item() for i in range(copies)]
-    return values
 
 
 # -- gradient checks: primitives -------------------------------------------------
@@ -123,13 +111,9 @@ def check_grad_conv3d():
     x = r.normal(size=(2, 2, 6, 6, 6))
     k = r.normal(size=(3, 2, 3, 3, 3))
     x_odd = r.normal(size=(1, 2, 5, 5, 5))  # stride 2 leaves an edge row unread
-    def forward(t):
-        return (conv3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1),)
-
     for seed, vol in ((0, x), (4, x_odd)):
-        _expect_grad(lambda t: conv3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1).square().sum(),
-                     vol, PRIMITIVE_TOL, rng=_rng(seed), sample=24,
-                     values=_stacked(forward, lambda y: y.square().sum()))
+        _expect_grad(lambda y: y.square().sum(), vol, PRIMITIVE_TOL, rng=_rng(seed), sample=24,
+                     forward=lambda t: (conv3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1),))
         _expect_grad(lambda t: conv3d(Tensor(vol, dtype=np.float64), t, stride=2, padding=1).square().sum(),
                      k, PRIMITIVE_TOL, rng=_rng(seed + 1), sample=24)
 
@@ -138,12 +122,8 @@ def check_grad_conv_transpose3d():
     r = _rng(19)
     x = r.normal(size=(2, 3, 3, 3, 3))
     k = r.normal(size=(3, 2, 4, 4, 4))
-    def forward(t):
-        return (conv_transpose3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1),)
-
-    _expect_grad(lambda t: conv_transpose3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1).square().sum(),
-                 x, PRIMITIVE_TOL, rng=_rng(2), sample=24,
-                 values=_stacked(forward, lambda y: y.square().sum()))
+    _expect_grad(lambda y: y.square().sum(), x, PRIMITIVE_TOL, rng=_rng(2), sample=24,
+                 forward=lambda t: (conv_transpose3d(t, Tensor(k, dtype=np.float64), stride=2, padding=1),))
     _expect_grad(lambda t: conv_transpose3d(Tensor(x, dtype=np.float64), t, stride=2, padding=1).square().sum(),
                  k, PRIMITIVE_TOL, rng=_rng(3), sample=24)
 
@@ -151,8 +131,8 @@ def check_grad_conv_transpose3d():
 def check_grad_pooling():
     r = _rng(20)
     x = r.normal(size=(2, 2, 4, 4, 4))
-    _expect_grad(lambda t: global_avg_pool(t).square().sum(), x, PRIMITIVE_TOL, rng=_rng(6), sample=24,
-                 values=_stacked(lambda t: (global_avg_pool(t),), lambda y: y.square().sum()))
+    _expect_grad(lambda y: y.square().sum(), x, PRIMITIVE_TOL, rng=_rng(6), sample=24,
+                 forward=lambda t: (global_avg_pool(t),))
 
 
 def check_grad_gather_rows():
@@ -203,16 +183,6 @@ def check_grad_composite_mmg_loss():
     y = r.normal(size=(1, 1, 8, 8, 8)) * 0.5
     anchor = r.normal(size=(1, model.cfg.d_code, 1, 1, 1))
 
-    def build(t):
-        z_hat = model.encode(t)
-        y_gen = model.decode(z_hat)
-        l1 = (y_gen - Tensor(y, dtype=np.float64)).abs().mean()
-        commit = (z_hat - Tensor(np.broadcast_to(anchor, z_hat.data.shape).copy(),
-                                 dtype=np.float64)).square().mean()
-        per = mmg.perceptual_loss(model.perceptual, Tensor(y, dtype=np.float64), y_gen)
-        adv = mmg.adversarial_gen_loss(model.disc(y_gen))
-        return l1 * 1.0 + commit * 0.25 + per * 0.1 + adv * 0.01
-
     with no_grad():
         f_true = model.perceptual(Tensor(y, dtype=np.float64))
 
@@ -228,7 +198,7 @@ def check_grad_composite_mmg_loss():
         adv = mmg.adversarial_gen_loss(scores)
         return l1 * 1.0 + commit * 0.25 + per * 0.1 + adv * 0.01
 
-    _expect_grad(build, x0, COMPOSITE_TOL, rng=_rng(7), sample=20, values=_stacked(forward, loss))
+    _expect_grad(loss, x0, COMPOSITE_TOL, rng=_rng(7), sample=20, forward=forward)
 
 
 def check_grad_quantization_loss():
@@ -280,13 +250,6 @@ def check_grad_composite_fusion():
     y = np.array([0, 1])
     lcfg = LossConfig(alpha_focal=(1.0, 2.0))
 
-    def build(t):
-        f_m = enc.attn_mri(enc.mri(t))
-        f_p = enc.attn_pet(enc.pet(pet))
-        f_c = enc.attn_clin(enc.clin(clin))
-        _, probs = head(f_m, f_p, f_c)
-        return losses.focal_loss(probs, y, lcfg)
-
     with no_grad():
         f_p = enc.attn_pet(enc.pet(pet)).data
         f_c = enc.attn_clin(enc.clin(clin)).data
@@ -296,8 +259,8 @@ def check_grad_composite_fusion():
         tiled = (Tensor(np.tile(f, (copies, 1, 1)), dtype=np.float64) for f in (f_p, f_c))
         return (head(enc.attn_mri(enc.mri(t)), *tiled)[1],)
 
-    _expect_grad(build, mri0, COMPOSITE_TOL, rng=_rng(8), sample=20,
-                 values=_stacked(forward, lambda probs: losses.focal_loss(probs, y, lcfg)))
+    _expect_grad(lambda probs: losses.focal_loss(probs, y, lcfg), mri0, COMPOSITE_TOL,
+                 rng=_rng(8), sample=20, forward=forward)
 
 
 def check_grad_sdm():

@@ -101,6 +101,15 @@ def test_conv_transpose3d_matches_naive_loops(rng, stride, padding, k):
     assert rel_error(got, want) < 1e-5
 
 
+@pytest.mark.parametrize("op, kshape", [(conv3d, (4, 3, 3, 3, 3)), (conv_transpose3d, (3, 4, 3, 3, 3))],
+                         ids=["conv3d", "conv_transpose3d"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_rejects_negative_padding(rng, op, kshape, stride):
+    x = Tensor(rng.standard_normal((1, 3, 5, 6, 7)))
+    with pytest.raises(ValueError, match=f"{op.__name__} .*stride {stride}, padding -1"):
+        op(x, Tensor(rng.standard_normal(kshape)), stride=stride, padding=-1)
+
+
 def test_conv3d_all_ones_kernel_hand_value():
     # 2x2x2 ones kernel over a 2x2x2 block of 0.5 sums to 4.0
     x = np.full((1, 1, 2, 2, 2), 0.5)
@@ -240,6 +249,21 @@ def test_conv_backward_puts_the_output_gradient_on_the_grid_once(rng, monkeypatc
 
 
 # -- gradient checks -----------------------------------------------------------
+
+
+def test_check_grad_runs_forward_once_on_the_probe_stack(rng):
+    """One forward for the analytic pass, one on the stack of all 24
+    probes; the loss runs once per pass and once per probe."""
+    calls = {"forward": 0, "loss": 0}
+    def forward(t):
+        calls["forward"] += 1
+        return (t * 2.0,)
+    def loss(y):
+        calls["loss"] += 1
+        return y.square().sum()
+    err, _, _ = check_grad(loss, rng.standard_normal((3, 4)), forward=forward)
+    assert err < TOL
+    assert calls == {"forward": 2, "loss": 1 + 24}
 
 
 def test_grad_matmul(rng):

@@ -20,10 +20,10 @@ def test_every_check_function_is_registered_once_under_a_unique_name():
     assert all(getattr(verify, fn.__name__) is fn for _, fn in verify.ALL_CHECKS)
 
 
-# The gradient checks that hand ``check_grad`` a stacked ``values``
-# evaluator, found in their source.
+# The gradient checks that hand ``check_grad`` a ``forward``, found in their
+# source.
 STACKED = [(name, fn) for name, fn in verify.ALL_CHECKS
-           if name.startswith("grad/") and "values=" in inspect.getsource(fn)]
+           if name.startswith("grad/") and "forward=" in inspect.getsource(fn)]
 
 
 def test_the_composite_checks_evaluate_their_probes_stacked():
@@ -34,23 +34,24 @@ def test_the_composite_checks_evaluate_their_probes_stacked():
 
 @pytest.mark.parametrize("fn", [fn for _, fn in STACKED], ids=[name for name, _ in STACKED])
 def test_stacked_values_equal_the_per_probe_loop_bit_for_bit(monkeypatch, fn):
-    """Each ``values`` must give the numeric gradient that running its
-    ``build`` once per probe gives, from the same sampled entries."""
+    """Running ``forward`` once on the probe stack must give the numeric
+    gradient that running ``loss(*forward(t))`` once per probe gives, from
+    the same sampled entries."""
     real = verify.check_grad
     compared = []
 
-    def twin(build, x0, rng=None, sample=None, values=None):
-        if values is None:
-            return real(build, x0, rng=rng, sample=sample)
+    def twin(loss, x0, rng=None, sample=None, forward=None):
+        if forward is None:
+            return real(loss, x0, rng=rng, sample=sample)
         state = copy.deepcopy(rng.bit_generator.state) if rng is not None else None
-        out = real(build, x0, rng=rng, sample=sample, values=values)
+        out = real(loss, x0, rng=rng, sample=sample, forward=forward)
         if rng is not None:
             rng.bit_generator.state = state
-        loop = real(build, x0, rng=rng, sample=sample)
+        loop = real(lambda t: loss(*forward(t)), x0, rng=rng, sample=sample)
         assert out[2].tobytes() == loop[2].tobytes(), "stacked and looped numeric gradients differ"
-        compared.append(build)
+        compared.append(loss)
         return out
 
     monkeypatch.setattr(verify, "check_grad", twin)
     fn()
-    assert compared, "the check passed no values"
+    assert compared, "the check passed no forward"
