@@ -446,11 +446,11 @@ def global_avg_pool(x):
 # kernel of Q taps per axis on the coarse grid.  The grid is flattened into
 # columns, one block of M**3 per sample, with a zero tail, so each of the
 # Q**3 kernel shifts is one column slice at a fixed offset; M >= out + Q - 1
-# keeps every valid output's taps inside its own sample's block.  Three
+# keeps every valid output's taps inside its own sample's block.  Two
 # primitives of Q**3 GEMMs each then cover both ops and all their gradients:
 #
-#   _corr     conv3d forward            conv_transpose3d input gradient
-#   _adjoint  conv3d input gradient     conv_transpose3d forward
+#   _corr     kq at offs:       conv3d forward, conv_transpose3d input gradient
+#             kq^T at backs:    conv3d input gradient, conv_transpose3d forward
 #   _wgrad    the kernel gradient of both
 
 
@@ -467,6 +467,7 @@ class _PhaseGrid:
         _, mh, mw = self.m
         self.offs = tuple(a * mh * mw + b * mw + c for a, b, c in itertools.product(*map(range, self.q)))
         self.lead = self.offs[-1]  # the largest shift: zero columns beside each grid
+        self.backs = tuple(self.lead - off for off in self.offs)  # the adjoint's shifts
         self.fine = _phase_slices(n, s, p)         # conv input  <-> grid, s**3 phases
         self.coarse = _phase_slices(self.out, 1, 0)  # conv output <-> grid, one phase
 
@@ -492,19 +493,23 @@ class _PhaseGrid:
 
     def kernel(self, k):
         """[F, C, *k] -> [Q**3, F, C*s**3], zero taps beyond k."""
-        taps, _ = _kernel_maps(self.s, self.q, k.shape)
+        taps = _kernel_taps(self.s, self.q, k.shape)
         return np.concatenate((k.reshape(-1), np.zeros(1, k.dtype)))[taps]
 
     def unkernel(self, kq, shape):
-        """Inverse of ``kernel``: [Q**3, F, C*s**3] -> [F, C, *k]."""
-        _, slots = _kernel_maps(self.s, self.q, shape)
-        return kq.reshape(-1)[slots]
+        """Inverse of ``kernel``: [Q**3, F, C*s**3] -> [F, C, *k].  Scatters
+        through ``kernel``'s taps; the zero taps all land in one spare slot,
+        which the in-place resize drops (the result owns its buffer)."""
+        k = np.empty(np.prod(shape) + 1, kq.dtype)
+        k[_kernel_taps(self.s, self.q, shape)] = kq
+        k.resize(shape, refcheck=False)
+        return k
 
 
 @functools.lru_cache(maxsize=64)
-def _kernel_maps(s, q, shape):
-    """Flat index maps of ``_PhaseGrid.kernel`` (into the kernel with one
-    zero appended, read by the taps beyond k) and of its inverse."""
+def _kernel_taps(s, q, shape):
+    """Flat index map of ``_PhaseGrid.kernel``, into the kernel with one
+    zero appended, which the taps beyond k read."""
     qd, qh, qw = q
     F, C, kd, kh, kw = shape
     r = np.arange(s)
@@ -512,12 +517,8 @@ def _kernel_maps(s, q, shape):
     th = (s * np.arange(qh)[:, None] + r).reshape(1, qh, 1, 1, 1, 1, s, 1)
     tw = (s * np.arange(qw)[:, None] + r).reshape(1, 1, qw, 1, 1, 1, 1, s)
     fc = np.arange(F * C).reshape(1, 1, 1, F, C, 1, 1, 1)
-    size = F * C * kd * kh * kw
-    taps = np.where((td < kd) & (th < kh) & (tw < kw), ((fc * kd + td) * kh + th) * kw + tw, size)
-    taps = taps.reshape(qd * qh * qw, F, C * s ** 3)
-    slots = np.empty(size + 1, np.intp)
-    slots[taps.reshape(-1)] = np.arange(taps.size)
-    return taps, slots[:-1].reshape(shape)
+    taps = np.where((td < kd) & (th < kh) & (tw < kw), ((fc * kd + td) * kh + th) * kw + tw, F * C * kd * kh * kw)
+    return taps.reshape(qd * qh * qw, F, C * s ** 3)
 
 
 @functools.lru_cache(maxsize=64)
@@ -564,35 +565,20 @@ def _from_grid(grid, s, m, slices, shape):
     return a
 
 
-def _corr(x, kq, offs, cols):
-    """y[:, i] = sum_q kq[q] @ x[:, i + offs[q]] for i < cols."""
-    y = kq[0] @ x[:, :cols]
-    part = np.empty_like(y)
-    for kk, off in zip(kq[1:], offs[1:]):
-        np.matmul(kk, x[:, off:off + cols], out=part)
-        y += part
-    return y
-
-
-def _adjoint(g, kq, offs, cols):
-    """Adjoint of ``_corr`` for ``g`` whose columns start at offs[-1]."""
-    lead = offs[-1]
-    if kq.shape[1] == 1:
-        # One output row makes each shift an outer product.  Broadcast
+def _corr(a, b, starts, cols):
+    """y = sum_q a[q] @ b[:, starts[q]:starts[q] + cols], summed in q order."""
+    if a.shape[2] == 1:
+        # One inner row makes each term an outer product.  Broadcast
         # multiplies form it at a fraction of a K=1 GEMM's cost; summed
         # from +0, they give the GEMMs' bytes, which hold no -0.
-        x = np.zeros((kq.shape[2], cols), np.result_type(kq, g))
-        part = np.empty_like(x)
-        for kk, off in zip(kq, offs):
-            np.multiply(kk.T, g[:, lead - off:lead - off + cols], out=part)
-            x += part
-        return x
-    x = kq[0].T @ g[:, lead:lead + cols]
-    part = np.empty_like(x)
-    for kk, off in zip(kq[1:], offs[1:]):
-        np.matmul(kk.T, g[:, lead - off:lead - off + cols], out=part)
-        x += part
-    return x
+        op, first, y = np.multiply, 0, np.zeros((a.shape[1], cols), np.result_type(a, b))
+    else:
+        op, first, y = np.matmul, 1, a[0] @ b[:, starts[0]:starts[0] + cols]
+    part = np.empty_like(y)
+    for aq, start in zip(a[first:], starts[first:]):
+        op(aq, b[:, start:start + cols], out=part)
+        y += part
+    return y
 
 
 def _wgrad(x, g, offs, cols):
@@ -623,9 +609,9 @@ def conv3d(x, kernel, stride=1, padding=0):
     cols = pg.cols(N)
     xg = pg.to_fine(x.data, cols)
     kq = pg.kernel(kernel.data)
-    y = pg.from_coarse(_corr(xg, kq, pg.offs, cols), (N, F) + pg.out)
+    y = pg.from_coarse(_corr(kq, xg, pg.offs, cols), (N, F) + pg.out)
     return _node(y, (x, kernel), (
-        lambda gg: pg.from_fine(_adjoint(gg, kq, pg.offs, cols), x.data.shape),
+        lambda gg: pg.from_fine(_corr(kq.swapaxes(1, 2), gg, pg.backs, cols), x.data.shape),
         lambda gg: pg.unkernel(_wgrad(xg, gg[:, pg.lead:], pg.offs, cols), kernel.data.shape)),
         share=lambda g: pg.to_coarse(g, cols))
 
@@ -655,8 +641,8 @@ def conv_transpose3d(x, kernel, stride=1, padding=0):
     cols = pg.cols(N)
     xg = pg.to_coarse(x.data, cols)
     kq = pg.kernel(kernel.data)
-    y = pg.from_fine(_adjoint(xg, kq, pg.offs, cols), (N, F, Do, Ho, Wo))
+    y = pg.from_fine(_corr(kq.swapaxes(1, 2), xg, pg.backs, cols), (N, F, Do, Ho, Wo))
     return _node(y, (x, kernel), (
-        lambda gg: pg.from_coarse(_corr(gg, kq, pg.offs, cols), x.data.shape),
+        lambda gg: pg.from_coarse(_corr(kq, gg, pg.offs, cols), x.data.shape),
         lambda gg: pg.unkernel(_wgrad(gg, xg[:, pg.lead:], pg.offs, cols), kernel.data.shape)),
         share=lambda g: pg.to_fine(g, cols))

@@ -327,8 +327,12 @@ def load_manifest(cohort_dir):
             if len(raw) != len(header):
                 raise ValueError(f"{path} line {rd.line_num}: {len(raw)} fields, expected {len(header)}")
             rec = dict(zip(header, raw))
-            rec["label"] = int(rec["label"])
-            rec["has_pet"] = int(rec["has_pet"])
+            for k in ("label", "has_pet"):
+                rec[k] = int(rec[k])
+                if rec[k] not in (0, 1):
+                    raise ValueError(f"{path} line {rd.line_num}: {k} must be 0 or 1, got {rec[k]}")
+            if rec["has_pet"] and not rec["pet_path"]:
+                raise ValueError(f"{path} line {rd.line_num}: has_pet is 1 but pet_path is empty")
             for k in ("age", "education", "ptau", "ttau", "fdg_summary", "latent_s_debug"):
                 rec[k] = float(rec[k])
             for k in ("sex", "apoe4"):

@@ -520,6 +520,23 @@ def _fold_seed(cfg, fold_index, stage):
     return np.random.SeedSequence(cfg.seed, spawn_key=(fold_index, stage))
 
 
+def _cv_folds(subjects, cfg: TrainConfig):
+    """The k test folds of ``subjects`` (lists of ids), stratified by label.
+    Raises ``ValueError`` on a repeated subject id, or on a test fold
+    without both classes, which no AUC can score."""
+    by_id = {}
+    for s in subjects:
+        if by_id.setdefault(s.subject_id, s) is not s:
+            raise ValueError(f"subject id {s.subject_id!r} appears more than once in the cohort")
+    folds = split_kfold(list(by_id), cfg.k_folds, cfg.seed, labels=[s.label for s in subjects])
+    for i, fold in enumerate(folds):
+        pos = sum(by_id[sid].label for sid in fold)
+        if pos in (0, len(fold)):
+            raise ValueError(f"cv fold {i}'s test split needs both classes; got {pos} positives "
+                             f"and {len(fold) - pos} negatives ({cfg.k_folds} folds of {len(by_id)} subjects)")
+    return folds
+
+
 def run_cv_fold(subjects, cfg: TrainConfig, mode_hashes, fold_index, out_dir=None):
     """Train and evaluate one fold in every mode of ``mode_hashes`` (mode ->
     config hash); returns {mode: fold row}.  The unit of --parallel-folds work.
@@ -530,10 +547,8 @@ def run_cv_fold(subjects, cfg: TrainConfig, mode_hashes, fold_index, out_dir=Non
     so any execution order or process layout yields identical rows.
     """
     cfg.validate()
-    ids = [s.subject_id for s in subjects]
     by_id = {s.subject_id: s for s in subjects}
-    labels = [s.label for s in subjects]
-    test_ids = split_kfold(ids, cfg.k_folds, cfg.seed, labels=labels)[fold_index]
+    test_ids = _cv_folds(subjects, cfg)[fold_index]
     test_set = set(test_ids)
     train_subjects = [s for s in subjects if s.subject_id not in test_set]
     test_subjects = [by_id[t] for t in test_ids]
@@ -591,6 +606,7 @@ def run_cv_modes(subjects, cfg: TrainConfig, mode_hashes, *, out_dir=None, proce
     each mode's stage-2 files.
     """
     cfg.validate()
+    _cv_folds(subjects, cfg)  # a bad split fails here, before the first fit
     jobs = [(subjects, cfg, mode_hashes, i, out_dir) for i in range(cfg.k_folds)]
     if processes > 1:
         with _fold_pool(min(processes, cfg.k_folds)) as pool:

@@ -150,6 +150,7 @@ def _dir_digest(path):
     return h.hexdigest()
 
 
+@pytest.mark.pinned
 def test_cv_ablation_grid_matches_the_reference_digest(tmp_path):
     if _numpy_build() != _REFERENCE_BUILD:
         pytest.skip(f"reference digest recorded on NumPy/BLAS {_REFERENCE_BUILD}, "

@@ -181,6 +181,7 @@ print(json.dumps(digests))
 """
 
 
+@pytest.mark.pinned
 def test_conv_layers_are_identical_at_one_and_two_blas_threads():
     """Every conv output and gradient at every default model layer shape
     has the same bytes whatever the BLAS thread count."""
@@ -196,13 +197,18 @@ def test_conv_layers_are_identical_at_one_and_two_blas_threads():
     assert digests["1"] == digests["2"]
 
 
-def _adjoint_gemm_loop(g, kq, offs, cols):
-    """``autograd._adjoint`` with one GEMM per shift, whatever the row count."""
-    lead = offs[-1]
-    x = kq[0].T @ g[:, lead:lead + cols]
-    for kk, off in zip(kq[1:], offs[1:]):
-        x += kk.T @ g[:, lead - off:lead - off + cols]
-    return x
+def _corr_gemm_loop(a, b, starts, cols):
+    """``autograd._corr`` with one GEMM per shift, whatever the inner size."""
+    y = a[0] @ b[:, starts[0]:starts[0] + cols]
+    for aq, start in zip(a[1:], starts[1:]):
+        y += aq @ b[:, start:start + cols]
+    return y
+
+
+def _planted_zeros(a):
+    a.reshape(-1)[::5] = 0.0
+    a.reshape(-1)[1::5] = -0.0
+    return a
 
 
 @pytest.mark.parametrize("batch", [1, 8, 30])
@@ -213,13 +219,37 @@ def test_single_row_adjoint_matches_gemm_loop_bytes(rng, batch):
     pg = autograd._phase_grid((4, 4, 4), (4, 4, 4), 2, 1)
     cols = pg.cols(batch)
     kq = pg.kernel(rng.standard_normal((1, 32, 4, 4, 4)).astype(np.float32))
-    g = rng.standard_normal((batch, 1) + pg.out).astype(np.float32)
-    g.reshape(-1)[::5] = 0.0
-    g.reshape(-1)[1::5] = -0.0
+    g = _planted_zeros(rng.standard_normal((batch, 1) + pg.out).astype(np.float32))
     gg = pg.to_coarse(g, cols)
     assert kq.shape[1] == 1
-    assert autograd._adjoint(gg, kq, pg.offs, cols).tobytes() == \
-        _adjoint_gemm_loop(gg, kq, pg.offs, cols).tobytes()
+    assert autograd._corr(kq.swapaxes(1, 2), gg, pg.backs, cols).tobytes() == \
+        _corr_gemm_loop(kq.swapaxes(1, 2), gg, pg.backs, cols).tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 8, 30])
+def test_forward_corr_matches_gemm_loop_bytes(rng, batch):
+    """The forward orientation (kernel at ``offs`` on the fine grid) sums
+    one GEMM per shift in shift order, signed zeros included."""
+    pg = autograd._phase_grid((8, 8, 8), (4, 4, 4), 2, 1)
+    cols = pg.cols(batch)
+    kq = pg.kernel(_planted_zeros(rng.standard_normal((16, 8, 4, 4, 4)).astype(np.float32)))
+    xg = pg.to_fine(_planted_zeros(rng.standard_normal((batch, 8, 8, 8, 8)).astype(np.float32)), cols)
+    assert autograd._corr(kq, xg, pg.offs, cols).tobytes() == \
+        _corr_gemm_loop(kq, xg, pg.offs, cols).tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_unkernel_inverts_kernel_bytes(rng, k):
+    """``unkernel(kernel(k))`` returns k's bytes; at k=3 the phased kernel
+    holds zero taps, which ``unkernel`` drops.  The kernel holds no +0, so
+    a zero tap written over any of its entries shows."""
+    pg = autograd._phase_grid((8, 8, 8), (k, k, k), 2, 1)
+    kernel = rng.standard_normal((4, 3, k, k, k)).astype(np.float32)
+    kernel.reshape(-1)[1::5] = -0.0
+    kq = pg.kernel(kernel)
+    assert (k == 3) == (kq.size > kernel.size)
+    back = pg.unkernel(kq, kernel.shape)
+    assert back.shape == kernel.shape and back.tobytes() == kernel.tobytes()
 
 
 @pytest.mark.parametrize("op, kshape", [(conv3d, (3, 2, 4, 4, 4)), (conv_transpose3d, (2, 3, 4, 4, 4))])
@@ -679,6 +709,7 @@ def _op_cases():
     ]
 
 
+@pytest.mark.pinned
 def test_op_forward_and_gradient_bytes_match_the_pinned_digest():
     from test_acceptance import _numpy_build
 

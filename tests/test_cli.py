@@ -3,6 +3,8 @@ grid output, and bit-identical reruns (sequential and parallel)."""
 
 import dataclasses
 import json
+import re
+import shutil
 import subprocess
 import sys
 
@@ -172,6 +174,60 @@ def test_train_fusion_builds_generator_from_checkpoint_meta(fast_config, tmp_pat
         "--mmg-ckpt", str(out / "mmg.itck"),
     ]) == EXIT_OK
     assert "stage 2 done" in capsys.readouterr().out
+
+
+def _manifest_with(src_dir, dst_dir, edit):
+    """Copy the cohort ``src_dir`` to ``dst_dir``, its manifest rows passed
+    through ``edit`` (a function of the list of split rows); returns ``dst_dir``."""
+    shutil.copytree(src_dir, dst_dir)
+    header, *rows = [line.split(",") for line in (dst_dir / "manifest.csv").read_text().splitlines()]
+    edit(rows)
+    (dst_dir / "manifest.csv").write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+    return dst_dir
+
+
+def test_cohort_with_has_pet_but_no_pet_path_exits_2(fast_config, small_cohort_dir, tmp_path, capsys):
+    """Used to exit 3 on reading the cohort directory as a volume."""
+    def edit(rows):
+        row = next(r for r in rows if r[2] == "0")
+        row[2] = "1"
+    cohort = _manifest_with(small_cohort_dir, tmp_path / "cohort", edit)
+    code = main(["cv", "--config", fast_config, "--cohort", str(cohort), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "has_pet is 1 but pet_path is empty" in capsys.readouterr().err
+
+
+def test_cv_with_a_one_class_test_fold_exits_2_before_any_fit(tmp_path, capsys):
+    """10 subjects in 5 folds leave a test fold of one class.  The split
+    used to be checked only by the AUC, after fold 0 had been trained and
+    written."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("cohort:\n  n_subjects: 10\n  volume_shape: [8, 8, 8]\n  seed: 1\n"
+                   "train:\n  epochs_stage1: 1\n  epochs_stage2: 1\n  k_folds: 5\n")
+    out = tmp_path / "o"
+    assert main(["cv", "--config", str(cfg), "--out", str(out), "--ablation", "none"]) == EXIT_CONFIG
+    assert not list(out.glob("fold_*"))
+    assert re.search(r"cv fold \d+'s test split needs both classes; got \d+ positives and \d+ negatives",
+                     capsys.readouterr().err)
+
+
+def test_cv_with_a_repeated_subject_id_exits_2_naming_it(tmp_path, capsys):
+    """A repeated id used to drop one subject from training and scoring
+    and score the other twice, without a warning."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("cohort:\n  n_subjects: 20\n  volume_shape: [8, 8, 8]\n  seed: 3\n"
+                   "train:\n  epochs_stage1: 1\n  epochs_stage2: 1\n  k_folds: 2\n")
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "g")]) == EXIT_OK
+
+    def edit(rows):
+        rows[1][0] = rows[0][0]
+    cohort = _manifest_with(tmp_path / "g" / "cohort", tmp_path / "cohort", edit)
+    repeated = (cohort / "manifest.csv").read_text().splitlines()[1].split(",")[0]
+    out = tmp_path / "o"
+    code = main(["cv", "--config", str(cfg), "--cohort", str(cohort), "--out", str(out), "--ablation", "none"])
+    assert code == EXIT_CONFIG
+    assert f"subject id {repeated!r} appears more than once" in capsys.readouterr().err
+    assert not list(out.glob("fold_*"))
 
 
 def test_cv_ablation_grid_writes_four_reports(fast_config, tmp_path, capsys,

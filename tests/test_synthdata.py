@@ -91,6 +91,7 @@ _COHORT_NUMPY = "2.4.6"
 _COHORT_DIGEST = "1572375868ddb3da35b5fe4696574ea204b853f4f7b949c8ebc608b1a7bd4970"
 
 
+@pytest.mark.pinned
 def test_generation_matches_the_pinned_digest(tmp_path):
     if np.__version__ != _COHORT_NUMPY:
         pytest.skip(f"cohort digest recorded on NumPy {_COHORT_NUMPY}, this is {np.__version__}")
@@ -138,6 +139,24 @@ def test_manifest_row_of_wrong_length_rejected(small_cohort_dir, tmp_path, edit)
     (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"line 4: {len(edit(MANIFEST_COLUMNS))} fields, "
                                          f"expected {len(MANIFEST_COLUMNS)}"):
+        load_manifest(str(tmp_path))
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (1, "2", "label must be 0 or 1, got 2"),
+    (2, "-1", "has_pet must be 0 or 1, got -1"),
+    (4, "", "has_pet is 1 but pet_path is empty"),
+], ids=["label-2", "has-pet-minus-1", "pet-without-path"])
+def test_manifest_value_the_pipeline_cannot_use_rejected(small_cohort_dir, tmp_path, column, value, message):
+    """Each used to load; the pipeline then failed after training had
+    started, or on reading the cohort directory as a volume."""
+    lines = (small_cohort_dir / "manifest.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    assert fields[2] == "1"
+    fields[column] = value
+    lines[3] = ",".join(fields)
+    (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 4: {message}"):
         load_manifest(str(tmp_path))
 
 

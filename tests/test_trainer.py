@@ -55,6 +55,7 @@ _PARAMETER_LAYOUTS = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("which", sorted(_PARAMETER_LAYOUTS))
 def test_parameter_names_and_shapes_are_pinned(which):
     rng = np.random.default_rng(0)
@@ -384,6 +385,7 @@ print(json.dumps(out))
 """
 
 
+@pytest.mark.pinned
 def test_chunked_scoring_matches_one_batch_bytes_at_one_and_two_blas_threads():
     """Imputation and scoring in chunks give the bytes of one batch over
     the whole cohort, short last chunk included, at either thread count."""
