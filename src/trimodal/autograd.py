@@ -28,14 +28,17 @@ tensors keep no gradient, leaves (parameters and tensors created with
 ``requires_grad=True``) keep theirs, and a second backward through a
 freed node raises ``RuntimeError``.
 
-The primitive set is closed on purpose: dense maps, 3-d convolution
-(plain and transposed), pointwise nonlinearities, softmax, reductions and
-shape plumbing: exactly what the fusion pipeline needs.  Both
-convolutions and their gradients run on one phase-grid kernel of shifted
-GEMMs (see the conv section).  All accumulation happens in numpy's
-fixed-order reductions, so repeated runs on the same inputs are
-bit-identical; the conv kernel also gives the same bits at one or two
-BLAS threads.
+The op set is closed: dense maps, 3-d convolution (plain and
+transposed), the pointwise maps and activations the models use, softmax,
+reductions and shape plumbing.  Every op that records a node is recorded
+by some model path (training or scoring); ``Tensor.sum`` alone is kept
+without one, because the checks and tests reduce through it.
+``test_every_tape_op_is_recorded_by_a_model_path`` enforces the rule, so
+an op no model needs is deleted, not kept.  Both convolutions and their
+gradients run on one phase-grid kernel of shifted GEMMs (see the conv
+section).  All accumulation happens in numpy's fixed-order reductions, so
+repeated runs on the same inputs are bit-identical; the conv kernel also
+gives the same bits at one or two BLAS threads.
 """
 
 from __future__ import annotations
@@ -61,12 +64,12 @@ _grad_mode = _GradMode()
 # Forward passes under ``no_grad`` over a whole cohort (calibration,
 # imputation, scoring) run this many subjects at a time, in two lanes (see
 # ``map_chunks``), so at most two chunks are in flight and memory does not
-# grow with the cohort.  Two lanes of 32 hold the 64 subjects that one lane
-# of 64 held before.  The bytes equal a one-batch forward over the cohort,
-# short last chunk included: the conv GEMMs pad their grid to 64 columns,
-# and the dense matmuls take rows in blocks of 4 from the first, so chunks
-# that start at multiples of 4 keep every row's bits (chunk sizes that are
-# not moved the fusion scores by ~1e-7).
+# grow with the cohort.  A subject's bytes do not depend on the chunk or
+# batch it is scored in: the conv GEMMs pad their grid to 64 columns, and
+# ``matmul`` pads its left operand's rows to a multiple of 4, so every row
+# is summed as inside a block of 4 (a product of 1-3 rows, or the last
+# rows of a longer one, is summed in another order and moved the fusion
+# scores by ~1e-7).
 INFERENCE_CHUNK = 32
 
 
@@ -233,17 +236,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, Tensor):
-            return self * (1.0 / other)
-        y = self.data / other.data
-        return _node(y, (self, other), (lambda g: _unbroadcast(g / other.data, self.data.shape),
-                                        lambda g: _unbroadcast(-g * y / other.data, other.data.shape)))
-
-    def __rtruediv__(self, other):
-        y = other / self.data
-        return _node(y, (self,), (lambda g: _unbroadcast(-g * y / self.data, self.data.shape),))
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -255,10 +247,6 @@ class Tensor:
     def square(self):
         return _node(self.data * self.data, (self,), (lambda g: g * (2.0 * self.data),))
 
-    def sqrt(self):
-        y = np.sqrt(self.data)
-        return _node(y, (self,), (lambda g: g * (0.5 / y),))
-
     def powf(self, c):
         """Elementwise x**c for a python float c (x > 0, or integer c)."""
         return _node(self.data ** c, (self,), (lambda g: g * (c * self.data ** (c - 1.0)),))
@@ -266,24 +254,12 @@ class Tensor:
     def log(self):
         return _node(np.log(self.data), (self,), (lambda g: g / self.data,))
 
-    def exp(self):
-        y = np.exp(self.data)
-        return _node(y, (self,), (lambda g: g * y,))
-
     def relu(self):
         return _node(np.maximum(self.data, 0.0), (self,), (lambda g: g * (self.data > 0),))
 
     def leaky_relu(self, alpha=0.2):
         return _node(np.where(self.data > 0, self.data, alpha * self.data), (self,),
                      (lambda g: g * np.where(self.data > 0, 1.0, alpha).astype(g.dtype),))
-
-    def tanh(self):
-        y = np.tanh(self.data)
-        return _node(y, (self,), (lambda g: g * (1.0 - y * y),))
-
-    def sigmoid(self):
-        y = 1.0 / (1.0 + np.exp(-self.data))
-        return _node(y, (self,), (lambda g: g * (y * (1.0 - y)),))
 
     # -- shape -------------------------------------------------------------
 
@@ -382,12 +358,24 @@ def _spread(g, shape, axis, keepdims):
 # -- linear algebra ----------------------------------------------------------
 
 
+def _rows4(a, b):
+    """``np.matmul(a, b)``, ``a``'s rows (axis -2) zero-padded to a multiple
+    of 4 so each row is summed as in any larger batch (see INFERENCE_CHUNK)."""
+    m = a.shape[-2]
+    if m % 4 == 0:
+        return np.matmul(a, b)
+    a = np.concatenate((a, np.zeros(a.shape[:-2] + (-m % 4, a.shape[-1]), a.dtype)), axis=-2)
+    return np.matmul(a, b)[..., :m, :]
+
+
 def matmul(a, b):
-    """Batched matrix product with broadcasting over leading axes."""
+    """Batched matrix product with broadcasting over leading axes.  A row
+    of the product, and of the input gradient, has the same bytes whatever
+    the other rows (see ``_rows4``)."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul requires tensors of rank >= 2")
-    return _node(np.matmul(a.data, b.data), (a, b), (
-        lambda g: _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape),
+    return _node(_rows4(a.data, b.data), (a, b), (
+        lambda g: _unbroadcast(_rows4(g, b.data.swapaxes(-1, -2)), a.data.shape),
         lambda g: _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)))
 
 

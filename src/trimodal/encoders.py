@@ -17,6 +17,7 @@ import numpy as np
 
 from .autograd import Tensor, global_avg_pool, matmul, softmax
 from .nn import Conv3d, LayerNorm, Linear, Module, run_stack, stack
+from .synthdata import CLINICAL_FIELDS
 
 
 @dataclass
@@ -25,7 +26,7 @@ class EncoderConfig:
     d_tok: int = 8         # per-token width; d = tokens * d_tok
     heads: int = 4         # self-attention heads over width d_attn
     d_attn: int = 64       # internal attention width
-    n_clinical: int = 7
+    n_clinical: int = 7    # must be len(CLINICAL_FIELDS); kept so saved run.yaml files and hashes hold
 
     @property
     def d(self):
@@ -39,6 +40,9 @@ class EncoderConfig:
         if self.d_attn // self.heads < 8:
             raise ValueError(
                 f"head_dim {self.d_attn // self.heads} < 8; use fewer heads or a wider d_attn")
+        if self.n_clinical != len(CLINICAL_FIELDS):
+            raise ValueError(f"encoders.n_clinical must be {len(CLINICAL_FIELDS)}, the number of clinical "
+                             f"fields {CLINICAL_FIELDS}; got {self.n_clinical}")
         return self
 
 

@@ -230,6 +230,20 @@ def test_cv_with_a_repeated_subject_id_exits_2_naming_it(tmp_path, capsys):
     assert not list(out.glob("fold_*"))
 
 
+def test_cv_with_n_clinical_other_than_the_clinical_fields_exits_2_before_the_cohort(tmp_path, capsys):
+    """The clinical matrix always has one column per clinical field.  Any
+    other n_clinical used to fail only after fold 0's generator was fitted
+    and written, with an error naming no key."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("cohort:\n  n_subjects: 16\n  volume_shape: [8, 8, 8]\n  seed: 11\n"
+                   "train:\n  epochs_stage1: 1\n  epochs_stage2: 1\n  k_folds: 2\n"
+                   "encoders:\n  n_clinical: 5\n")
+    out = tmp_path / "o"
+    assert main(["cv", "--config", str(cfg), "--out", str(out), "--ablation", "mmg_tcaf"]) == EXIT_CONFIG
+    assert "encoders.n_clinical must be 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cv_ablation_grid_writes_four_reports(fast_config, tmp_path, capsys,
                                               monkeypatch):
     stage1_calls = []

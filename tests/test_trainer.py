@@ -4,6 +4,7 @@ frozen-generator contract, fold hygiene, and report structure."""
 import dataclasses
 import gc
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -343,26 +344,27 @@ def test_tail_average_is_the_mean_of_the_last_epochs_weights(small_subjects):
         assert v.tobytes() == want.tobytes(), k
 
 
-# Scores 2*INFERENCE_CHUNK+3 subjects through the chunked generate_pet and
-# evaluate_fusion and through one-batch forwards kept here, in both heads;
-# prints the sha256 of each array as one JSON object.
-_CHUNKED_VS_ONE_BATCH = """
-import hashlib, json
+# Scores a cohort of argv[1] subjects through generate_pet and evaluate_fusion,
+# in both heads, and through one-batch forwards kept here.  argv[2] names how
+# the library scores: "chunked" over the whole cohort, or "alone", one call
+# per subject.  Prints the sha256 of each array as one JSON object.
+_SCORED_VS_ONE_BATCH = """
+import hashlib, json, sys
 import numpy as np
 from trimodal import trainer
-from trimodal.autograd import INFERENCE_CHUNK, Tensor, no_grad
+from trimodal.autograd import Tensor, no_grad
 from trimodal.encoders import EncoderConfig
 from trimodal.losses import LossConfig
 from trimodal.mmg import MmgConfig, MmgModel, quantize
 from trimodal.synthdata import CohortConfig, Standardizer, _draw_subjects, clinical_matrix
 
-subjects = _draw_subjects(CohortConfig(n_subjects=2 * INFERENCE_CHUNK + 3, missing_pet_rate=0.5, seed=7))
+n, how = int(sys.argv[1]), sys.argv[2]
+subjects = _draw_subjects(CohortConfig(n_subjects=n, missing_pet_rate=0.5, seed=7))
 rng = np.random.default_rng(0)
 mmg = MmgModel(rng, MmgConfig())
 mmg.calib.affine.data[:] = (0.1, 1.3, 0.2)
 mri = np.stack([s.mri for s in subjects])[:, None]
 clin = clinical_matrix(subjects)
-labels = np.array([s.label for s in subjects])
 with no_grad():
     z_q, _ = quantize(mmg.encode(Tensor(mri)), mmg.codebook)
     gen = mmg.calib.apply(mmg.decode(z_q).data)
@@ -370,36 +372,55 @@ pet = np.stack([s.pet if s.has_pet else
                 gen[i, 0] + 0.2 * trainer._imputation_noise(s.mri, s.mri.shape)
                 for i, s in enumerate(subjects)])[:, None]
 digest = lambda a: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-out = {"generate_pet/chunked": digest(mmg.generate_pet(mri)), "generate_pet/one_batch": digest(gen)}
+calls = [slice(0, n)] if how == "chunked" else [slice(i, i + 1) for i in range(n)]
+out = {f"generate_pet/{how}": digest(np.concatenate([mmg.generate_pet(mri[c]) for c in calls])),
+       "generate_pet/one_batch": digest(gen)}
 scored = []
 trainer.threshold_metrics = lambda p, y: scored.append(p.copy()) or {}
 for use_tcaf in (False, True):
-    bundle = trainer.FusionBundle(trainer.FusionModel(rng, EncoderConfig(), use_tcaf=use_tcaf),
-                                  Standardizer().fit(clin), LossConfig(), [])
-    trainer.evaluate_fusion(bundle, subjects, mmg)
+    model = trainer.FusionModel(np.random.default_rng(0), EncoderConfig(), use_tcaf=use_tcaf)
+    bundle = trainer.FusionBundle(model, Standardizer().fit(clin), LossConfig(), [])
+    for c in calls:
+        trainer.evaluate_fusion(bundle, subjects[c], mmg)
     with no_grad():
         _, probs, _ = bundle.model(mri, pet, bundle.standardizer.transform(clin))
-    out[f"tcaf={use_tcaf}/chunked"] = digest(scored.pop())
+    out[f"tcaf={use_tcaf}/{how}"] = digest(np.concatenate(scored))
     out[f"tcaf={use_tcaf}/one_batch"] = digest(probs.data[:, 1])
+    scored.clear()
 print(json.dumps(out))
 """
 
 
-@pytest.mark.pinned
-def test_chunked_scoring_matches_one_batch_bytes_at_one_and_two_blas_threads():
-    """Imputation and scoring in chunks give the bytes of one batch over
-    the whole cohort, short last chunk included, at either thread count."""
+def _scored_vs_one_batch(n, how):
+    """The script's digests at 1 and 2 BLAS threads, after checking that
+    the library's scores equal the one-batch forward at each."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(trimodal.__file__)))
     digests = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", _CHUNKED_VS_ONE_BATCH], env=env,
+        proc = subprocess.run([sys.executable, "-c", _SCORED_VS_ONE_BATCH, str(n), how], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         digests[threads] = d = json.loads(proc.stdout)
         for what in ("generate_pet", "tcaf=False", "tcaf=True"):
-            assert d[f"{what}/chunked"] == d[f"{what}/one_batch"], (threads, what)
-    assert digests["1"] == digests["2"]
+            assert d[f"{what}/{how}"] == d[f"{what}/one_batch"], (n, threads, what)
+    assert digests["1"] == digests["2"], n
+
+
+@pytest.mark.pinned
+def test_chunked_scoring_matches_one_batch_bytes_at_one_and_two_blas_threads():
+    """Imputation and scoring in chunks give the bytes of one batch over
+    the whole cohort, whatever the length of the last chunk, at either
+    thread count."""
+    for tail in (1, 2, 3):
+        _scored_vs_one_batch(2 * autograd.INFERENCE_CHUNK + tail, "chunked")
+
+
+@pytest.mark.pinned
+def test_a_subject_scored_alone_gets_its_bytes_in_the_cohort_forward():
+    """Imputing and scoring each subject on its own gives the bytes of
+    its row in one forward over the cohort, at either thread count."""
+    _scored_vs_one_batch(9, "alone")
 
 
 def test_evaluate_fusion_peak_memory_does_not_grow_with_the_cohort():
@@ -579,16 +600,23 @@ def test_training_leaves_no_cyclic_garbage(small_subjects):
         gc.enable()
 
 
-def test_tape_values_and_gradients_are_float32(small_subjects, monkeypatch):
-    """Both stages compute in float32: every value an op puts on the tape
-    and every gradient backward accumulates, in one epoch of stage 1 and
-    of stage 2 in three modes."""
-    found = set()
+@pytest.fixture(scope="module")
+def model_tape(small_subjects):
+    """What the model paths put on the tape: one epoch of stage 1, one of
+    stage 2 in three modes and one ``evaluate_fusion`` (the no-grad
+    scoring lanes), with ``autograd._make`` and ``_accum`` patched.
+
+    Returns the non-float32 entries as (kind, dtype, op name) and the code
+    objects of the ops that recorded a node: ``_make``'s caller is
+    ``_node``, and ``_node``'s caller is the op."""
+    found, recorded = set(), set()
     make, accum = autograd._make, autograd._accum
 
     def checked_make(data, parents):
+        op = sys._getframe(2).f_code
+        recorded.add(op)
         if data.dtype != np.float32:
-            found.add(("value", str(data.dtype), sys._getframe(1).f_code.co_name))
+            found.add(("value", str(data.dtype), op.co_name))
         return make(data, parents)
 
     def checked_accum(t, g, fresh=False):
@@ -596,16 +624,33 @@ def test_tape_values_and_gradients_are_float32(small_subjects, monkeypatch):
             found.add(("gradient", str(g.dtype), sys._getframe(1).f_code.co_name))
         return accum(t, g, fresh)
 
-    for name, module in list(sys.modules.items()):
-        if name == "trimodal" or name.startswith("trimodal."):
-            if getattr(module, "_make", None) is make:
-                monkeypatch.setattr(module, "_make", checked_make)
-            if getattr(module, "_accum", None) is accum:
-                monkeypatch.setattr(module, "_accum", checked_accum)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autograd, "_make", checked_make)
+        mp.setattr(autograd, "_accum", checked_accum)
+        cfg = fast_train_config(epochs_stage1=1, epochs_stage2=1)
+        model, _ = train_mmg(small_subjects, cfg)
+        for mode in ("none", "tcaf_only", "mmg_tcaf"):
+            mode_cfg = cfg.with_mode(mode)
+            bundle = train_fusion(small_subjects, mode_cfg, model if mode_cfg.use_mmg else None)
+        evaluate_fusion(bundle, small_subjects, model)
+    return found, recorded
 
-    cfg = fast_train_config(epochs_stage1=1, epochs_stage2=1)
-    model, _ = train_mmg(small_subjects, cfg)
-    for mode in ("none", "tcaf_only", "mmg_tcaf"):
-        mode_cfg = cfg.with_mode(mode)
-        train_fusion(small_subjects, mode_cfg, model if mode_cfg.use_mmg else None)
+
+def test_tape_values_and_gradients_are_float32(model_tape):
+    """Both stages compute in float32: every value an op puts on the tape
+    and every gradient backward accumulates, in training and scoring."""
+    found, _ = model_tape
     assert not found, f"non-float32 tape entries (kind, dtype, op): {sorted(found)}"
+
+
+def test_every_tape_op_is_recorded_by_a_model_path(model_tape):
+    """The tape's op set is closed: every function or ``Tensor`` method of
+    ``autograd`` that records a node through ``_node`` is recorded by a
+    model path.  ``sum`` alone is exempt: the checks and tests reduce
+    through it."""
+    _, recorded = model_tape
+    members = list(vars(autograd).values()) + list(vars(autograd.Tensor).values())
+    ops = {f.__code__: f.__qualname__ for f in members
+           if inspect.isfunction(f) and "_node" in f.__code__.co_names}
+    unused = sorted(name for code, name in ops.items() if code not in recorded and name != "Tensor.sum")
+    assert not unused, f"tape ops no model path records: {unused}"
